@@ -8,6 +8,11 @@
 //
 // Unknown directives and unknown key=value options are errors (a typo
 // silently serving defaults would be worse). rate=0 means unlimited.
+//
+// max_delay_us bounds how long a one-shot request waits for batch
+// companions (serve::BatchingOptions::max_delay). Fleet tile forecasts and
+// protocol `forecast` lines are all stream requests, which never wait for
+// it, so it does not affect them.
 
 #ifndef STWA_FLEET_CONFIG_H_
 #define STWA_FLEET_CONFIG_H_

@@ -51,7 +51,9 @@ struct FleetProfileConfig {
   int64_t shards = 1;
   /// Worker threads per shard server.
   int workers = 1;
-  /// Per-shard batching policy (serve/batching_queue.h).
+  /// Per-shard batching policy (serve/batching_queue.h). Tile forecasts
+  /// are stream requests, which never wait for max_delay_us; it applies
+  /// to one-shot requests only.
   int64_t max_batch = 8;
   int64_t max_delay_us = 2000;
   int64_t capacity = 4096;

@@ -1,53 +1,13 @@
 #include "fleet/protocol.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "common/string_util.h"
 #include "serve/protocol.h"
 
 namespace stwa {
 namespace fleet {
-namespace {
-
-bool ParseFloatToken(const std::string& token, float* out) {
-  char* end = nullptr;
-  *out = std::strtof(token.c_str(), &end);
-  return end != nullptr && *end == '\0' && !token.empty();
-}
-
-bool ParseIntToken(const std::string& token, int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !token.empty();
-}
-
-std::string FormatMicros(double micros) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", micros);
-  return buf;
-}
-
-/// Parses tokens[first..] as observation values; empty optional + `err`
-/// set on a bad token.
-bool ParseValues(const std::vector<std::string>& tokens, size_t first,
-                 std::vector<float>* values, std::string* err) {
-  values->reserve(tokens.size() - first);
-  for (size_t i = first; i < tokens.size(); ++i) {
-    float v;
-    if (!ParseFloatToken(tokens[i], &v)) {
-      *err = "bad value '" + tokens[i] + "'";
-      return false;
-    }
-    values->push_back(v);
-  }
-  return true;
-}
-
-}  // namespace
 
 FleetNode::FleetNode(const FleetConfig& config)
     : registry_(config.profiles), admission_(config.default_quota) {
@@ -132,9 +92,9 @@ std::optional<std::string> FleetLineSession::Handle(const std::string& line,
       std::ostringstream oss;
       oss << "reload ok=1 profile=" << tokens[1] << " version=" << r.version
           << " ckpt_version=" << r.ckpt_version
-          << " prepare_us=" << FormatMicros(r.prepare_us)
-          << " swap_us=" << FormatMicros(r.swap_us)
-          << " drain_us=" << FormatMicros(r.drain_us);
+          << " prepare_us=" << serve::FormatMicros(r.prepare_us)
+          << " swap_us=" << serve::FormatMicros(r.swap_us)
+          << " drain_us=" << serve::FormatMicros(r.drain_us);
       return oss.str();
     } catch (const std::exception& e) {
       // A failed reload is not a protocol error: the line was well-formed
@@ -152,8 +112,8 @@ std::optional<std::string> FleetLineSession::Handle(const std::string& line,
         << " profiles=" << node_.registry().size();
     for (const auto& [tenant, hist] : stats.per_tenant.entries()) {
       oss << " t." << tenant << ".count=" << hist.count() << " t." << tenant
-          << ".p50_us=" << FormatMicros(hist.p50()) << " t." << tenant
-          << ".p99_us=" << FormatMicros(hist.p99());
+          << ".p50_us=" << serve::FormatMicros(hist.p50()) << " t." << tenant
+          << ".p99_us=" << serve::FormatMicros(hist.p99());
     }
     return oss.str();
   }
@@ -170,7 +130,7 @@ std::optional<std::string> FleetLineSession::Handle(const std::string& line,
 
   if (verb == "obs") {
     int64_t tile;
-    if (tokens.size() < 4 || !ParseIntToken(tokens[2], &tile)) {
+    if (tokens.size() < 4 || !serve::ParseIntToken(tokens[2], &tile)) {
       return Error("usage: " + head + " obs <tile> <value...>");
     }
     if (tile < 0 || tile >= profile->router().tiles()) {
@@ -179,7 +139,7 @@ std::optional<std::string> FleetLineSession::Handle(const std::string& line,
     }
     std::vector<float> values;
     std::string err;
-    if (!ParseValues(tokens, 3, &values, &err)) return Error(err);
+    if (!serve::ParseValueTokens(tokens, 3, &values, &err)) return Error(err);
     const int64_t expected = profile->num_sensors() * profile->features();
     if (static_cast<int64_t>(values.size()) != expected) {
       return Error("obs needs " + std::to_string(expected) +
@@ -191,7 +151,7 @@ std::optional<std::string> FleetLineSession::Handle(const std::string& line,
 
   if (verb == "obs1") {
     int64_t g;
-    if (tokens.size() < 4 || !ParseIntToken(tokens[2], &g)) {
+    if (tokens.size() < 4 || !serve::ParseIntToken(tokens[2], &g)) {
       return Error("usage: " + head + " obs1 <sensor> <value...>");
     }
     if (g < 0 || g >= profile->router().global_sensors()) {
@@ -200,7 +160,7 @@ std::optional<std::string> FleetLineSession::Handle(const std::string& line,
     }
     std::vector<float> values;
     std::string err;
-    if (!ParseValues(tokens, 3, &values, &err)) return Error(err);
+    if (!serve::ParseValueTokens(tokens, 3, &values, &err)) return Error(err);
     if (static_cast<int64_t>(values.size()) != profile->features()) {
       return Error("obs1 needs " + std::to_string(profile->features()) +
                    " value(s), got " + std::to_string(values.size()));
@@ -211,7 +171,7 @@ std::optional<std::string> FleetLineSession::Handle(const std::string& line,
 
   if (verb == "forecast") {
     int64_t tile;
-    if (tokens.size() != 3 || !ParseIntToken(tokens[2], &tile)) {
+    if (tokens.size() != 3 || !serve::ParseIntToken(tokens[2], &tile)) {
       return Error("usage: " + head + " forecast <tile>");
     }
     if (tile < 0 || tile >= profile->router().tiles()) {

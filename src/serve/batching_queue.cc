@@ -90,10 +90,17 @@ std::vector<Request> BatchingQueue::NextBatch() {
     }
     const bool full = static_cast<int64_t>(queue_.size()) >=
                       options_.max_batch;
+    // A stream request at the head never waits for companions and never
+    // takes any: batched, it would only bypass its stream-cache entry. It
+    // leaves at once and alone, so stream traffic runs as singletons
+    // whatever the timing, and never captures a plan per batch size.
+    const bool stream_head = queue_.front().stream_id >= 0;
     const auto flush_at = queue_.front().enqueue_time + options_.max_delay;
-    if (full || now >= flush_at || shutdown_) {
-      const int64_t take = std::min<int64_t>(
-          static_cast<int64_t>(queue_.size()), options_.max_batch);
+    if (full || stream_head || now >= flush_at || shutdown_) {
+      const int64_t take =
+          stream_head ? 1
+                      : std::min<int64_t>(static_cast<int64_t>(queue_.size()),
+                                          options_.max_batch);
       std::vector<Request> batch;
       batch.reserve(static_cast<size_t>(take));
       for (int64_t i = 0; i < take; ++i) {

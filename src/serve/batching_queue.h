@@ -4,12 +4,16 @@
 // threads) call NextBatch(), which coalesces queued requests into batches
 // bounded by max_batch and max_delay: a batch is released as soon as
 // max_batch requests are waiting, or when the oldest request has waited
-// max_delay, whichever comes first. Overload is handled by shedding, not
-// queueing without bound: a Submit beyond `capacity` and any request
-// whose deadline expires while still queued are answered immediately with
-// `degraded = true` and no forecast. Requests that execute are answered
-// with the forecast; batching never changes their bytes (per-sample
-// kernel independence, see DESIGN.md "Serving").
+// max_delay, whichever comes first. A stream request (stream_id >= 0) at
+// the head is released at once and alone, so an idle worker never sits
+// out max_delay and stream traffic runs as singleton batches (the
+// incremental stream-cache path) however requests happen to queue; it
+// rides a larger batch only behind a one-shot head. Overload is
+// handled by shedding, not queueing without bound: a Submit beyond
+// `capacity` and any request whose deadline expires while still queued are
+// answered immediately with `degraded = true` and no forecast. Requests
+// that execute are answered with the forecast; batching never changes
+// their bytes (per-sample kernel independence, see DESIGN.md "Serving").
 
 #ifndef STWA_SERVE_BATCHING_QUEUE_H_
 #define STWA_SERVE_BATCHING_QUEUE_H_
@@ -70,8 +74,10 @@ struct Request {
 struct BatchingOptions {
   /// Largest micro-batch handed to a worker.
   int64_t max_batch = 8;
-  /// Longest a request may wait for companions before its batch is
-  /// released anyway.
+  /// Longest a one-shot request may wait for companions before its batch
+  /// is released anyway. Stream requests at the head of the queue do not
+  /// wait (see the file comment), so this applies to one-shot requests
+  /// only.
   std::chrono::microseconds max_delay{2000};
   /// Queue bound; Submits beyond it are shed immediately.
   int64_t capacity = 1024;
@@ -87,9 +93,10 @@ class BatchingQueue {
   std::future<Response> Submit(Tensor window,
                                std::chrono::microseconds deadline_budget);
 
-  /// Enqueues a stream request (see Request::stream_id). Identical
-  /// batching/shedding semantics; the stream identity rides along so the
-  /// executing worker can take the incremental path.
+  /// Enqueues a stream request (see Request::stream_id). Same shedding
+  /// semantics; at the head of the queue it is released at once as a
+  /// batch of one, and the stream identity rides along so the executing
+  /// worker can take the incremental path.
   std::future<Response> Submit(Tensor window, int64_t stream_id,
                                int64_t anchor,
                                std::chrono::microseconds deadline_budget);

@@ -1,6 +1,8 @@
 #include "serve/protocol.h"
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -10,24 +12,6 @@
 namespace stwa {
 namespace serve {
 namespace {
-
-bool ParseFloatToken(const std::string& token, float* out) {
-  char* end = nullptr;
-  *out = std::strtof(token.c_str(), &end);
-  return end != nullptr && *end == '\0' && !token.empty();
-}
-
-bool ParseIntToken(const std::string& token, int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !token.empty();
-}
-
-std::string FormatMicros(double micros) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", micros);
-  return buf;
-}
 
 /// Spaces inside err= values would break token-oriented clients.
 std::string Underscored(const std::string& s) {
@@ -39,6 +23,40 @@ std::string Underscored(const std::string& s) {
 }
 
 }  // namespace
+
+bool ParseFloatToken(const std::string& token, float* out) {
+  char* end = nullptr;
+  *out = std::strtof(token.c_str(), &end);
+  // nan, inf and overflow-to-inf parse but are no observation: one would
+  // poison a stream's window for H steps (and its cache entries).
+  return !token.empty() && *end == '\0' && std::isfinite(*out);
+}
+
+bool ParseIntToken(const std::string& token, int64_t* out) {
+  char* end = nullptr;
+  *out = std::strtoll(token.c_str(), &end, 10);
+  return !token.empty() && *end == '\0';
+}
+
+bool ParseValueTokens(const std::vector<std::string>& tokens, size_t first,
+                      std::vector<float>* values, std::string* err) {
+  values->reserve(tokens.size() - first);
+  for (size_t i = first; i < tokens.size(); ++i) {
+    float v;
+    if (!ParseFloatToken(tokens[i], &v)) {
+      *err = "bad value '" + tokens[i] + "'";
+      return false;
+    }
+    values->push_back(v);
+  }
+  return true;
+}
+
+std::string FormatMicros(double micros) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.1f", micros);
+  return buf;
+}
 
 Command ParseCommand(const std::string& line) {
   Command cmd;
@@ -53,15 +71,7 @@ Command ParseCommand(const std::string& line) {
   }
   const std::string& verb = tokens[0];
   if (verb == "obs") {
-    cmd.values.reserve(tokens.size() - 1);
-    for (size_t i = 1; i < tokens.size(); ++i) {
-      float v;
-      if (!ParseFloatToken(tokens[i], &v)) {
-        cmd.error = "bad value '" + tokens[i] + "'";
-        return cmd;
-      }
-      cmd.values.push_back(v);
-    }
+    if (!ParseValueTokens(tokens, 1, &cmd.values, &cmd.error)) return cmd;
     if (cmd.values.empty()) {
       cmd.error = "obs needs at least one value";
       return cmd;
@@ -74,14 +84,7 @@ Command ParseCommand(const std::string& line) {
       cmd.error = "usage: obs1 <sensor> <value...>";
       return cmd;
     }
-    for (size_t i = 2; i < tokens.size(); ++i) {
-      float v;
-      if (!ParseFloatToken(tokens[i], &v)) {
-        cmd.error = "bad value '" + tokens[i] + "'";
-        return cmd;
-      }
-      cmd.values.push_back(v);
-    }
+    if (!ParseValueTokens(tokens, 2, &cmd.values, &cmd.error)) return cmd;
     cmd.kind = Command::Kind::kObsSensor;
     return cmd;
   }
@@ -103,26 +106,31 @@ Command ParseCommand(const std::string& line) {
 
 std::string FormatForecastResponse(const Response& response, int64_t n,
                                    int64_t u, int64_t f) {
-  std::ostringstream oss;
+  const std::string degraded = response.degraded ? "1" : "0";
   if (!response.ok) {
-    oss << "forecast ok=0 degraded=" << (response.degraded ? 1 : 0)
-        << " err=" << Underscored(response.error.empty()
-                                      ? "unknown"
-                                      : response.error);
-    return oss.str();
+    return "forecast ok=0 degraded=" + degraded + " err=" +
+           Underscored(response.error.empty() ? "unknown" : response.error);
   }
-  oss << "forecast ok=1 degraded=" << (response.degraded ? 1 : 0)
-      << " n=" << n << " u=" << u;
-  char buf[32];
-  const float* p = response.forecast.data();
+  std::string line = "forecast ok=1 degraded=" + degraded +
+                     " n=" + std::to_string(n) + " u=" + std::to_string(u);
+  // " " plus %.9g of a binary32 takes at most 16 bytes ("-1.17549435e-38"
+  // is 15), so the line is sized once and to_chars cannot run out.
+  constexpr size_t kMaxValueBytes = 16;
   const int64_t total = n * u * f;
+  const size_t head = line.size();
+  line.resize(head + static_cast<size_t>(total) * kMaxValueBytes);
+  char* out = line.data() + head;
+  char* const last = line.data() + line.size();
+  const float* p = response.forecast.data();
   for (int64_t i = 0; i < total; ++i) {
-    // %.9g round-trips binary32 exactly, so piping the protocol output
-    // back through strtof reproduces the forecast bytes.
-    std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(p[i]));
-    oss << ' ' << buf;
+    *out++ = ' ';
+    // General format at precision 9 is printf("%.9g")'s bytes and
+    // round-trips binary32 exactly, so piping the protocol output back
+    // through strtof reproduces the forecast bytes.
+    out = std::to_chars(out, last, p[i], std::chars_format::general, 9).ptr;
   }
-  return oss.str();
+  line.resize(static_cast<size_t>(out - line.data()));
+  return line;
 }
 
 std::string FormatStatsResponse(const ServerStats& stats) {

@@ -18,10 +18,10 @@
 //
 // Parsing and formatting are pure functions so they unit-test without
 // sockets or threads. LineSession drives one client's command stream
-// against a Server: every malformed line — bad floats, out-of-range
-// sensor indices, wrong value counts — is answered with an `err` line and
-// counted in the server stats; nothing a client writes can reach a worker
-// CHECK.
+// against a Server: every malformed line — bad or non-finite floats,
+// out-of-range sensor indices, wrong value counts — is answered with an
+// `err` line and counted in the server stats; nothing a client writes can
+// reach a worker CHECK.
 
 #ifndef STWA_SERVE_PROTOCOL_H_
 #define STWA_SERVE_PROTOCOL_H_
@@ -49,6 +49,23 @@ struct Command {
   /// Parse failure reason for kInvalid.
   std::string error;
 };
+
+/// Parses a whole token as a finite float. Rejects trailing junk, `nan`,
+/// `inf` and values that overflow to infinity (e.g. `1e39`): a non-finite
+/// observation would poison a stream's window. Shared by the serve and
+/// fleet protocols.
+bool ParseFloatToken(const std::string& token, float* out);
+
+/// Parses a whole token as a base-10 integer.
+bool ParseIntToken(const std::string& token, int64_t* out);
+
+/// Parses tokens[first..] with ParseFloatToken into *values. On a bad
+/// token returns false with the reason in *err.
+bool ParseValueTokens(const std::vector<std::string>& tokens, size_t first,
+                      std::vector<float>* values, std::string* err);
+
+/// Formats a microsecond figure for stats lines ("%.1f").
+std::string FormatMicros(double micros);
 
 /// Parses one request line (leading/trailing whitespace ignored; empty
 /// lines and lines starting with '#' parse as kInvalid with an empty

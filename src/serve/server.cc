@@ -146,9 +146,10 @@ void Server::WorkerLoop(Worker& worker) {
     const auto exec_start = std::chrono::steady_clock::now();
     const int64_t b = static_cast<int64_t>(batch.size());
     // A stream-tagged request executing alone takes the incremental path;
-    // stream requests that ride a larger batch fall back to the stacked
-    // forward (still correct — the cache is consulted next time they
-    // arrive alone) and are counted as bypasses.
+    // stream requests that ride a larger batch (queued behind a one-shot
+    // head; see batching_queue.h) fall back to the stacked forward (still
+    // correct — the cache is consulted next time they arrive alone) and
+    // are counted as bypasses.
     const bool incremental =
         cache_ != nullptr && b == 1 && batch[0].stream_id >= 0;
     if (!incremental) {

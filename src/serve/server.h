@@ -50,7 +50,10 @@ struct ServerOptions {
   /// (serve/stream_cache.h). When enabled, stream-tagged Submits that
   /// execute as singleton batches take InferenceSession::ForecastStream —
   /// byte-identical to the cold path, memcmp-enforced. STWA_NO_STREAM_CACHE=1
-  /// wins over this flag.
+  /// wins over this flag. Stream requests skip batching.max_delay: at the
+  /// head of the queue they leave as soon as a worker is free, alone, so
+  /// they ride a larger batch only behind a one-shot head;
+  /// batching.max_delay applies to one-shot requests only.
   bool stream_cache = true;
   /// Externally owned cache (the fleet layer shares one cache across a
   /// profile's shards and reload generations). Null + stream_cache on:

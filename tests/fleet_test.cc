@@ -3,10 +3,14 @@
 // guarantee + bit-identity + geometry validation), the multi-profile
 // registry, and the profile-routed line protocol.
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +28,7 @@
 #include "serve/checkpoint.h"
 #include "serve/inference_session.h"
 #include "serve/server.h"
+#include "serve/stream_cache.h"
 #include "tensor/ops.h"
 
 namespace stwa {
@@ -346,11 +351,16 @@ TEST(ModelProfileTest, ReloadDrainsInFlightRequestsOnOldWeights) {
   f.info.ckpt_version = 2;
   serve::SaveServingCheckpoint(*f.model, f.info, path_b);
 
+  // Every forecast runs the full model (a stream-cache output hit would
+  // return at once) in batches of one, so all but the executing request
+  // wait in the queue and the swap finds some there to drain.
+  struct CacheOff {
+    CacheOff() { serve::SetStreamCacheMode(false); }
+    ~CacheOff() { serve::SetStreamCacheMode(saved); }
+    bool saved = serve::StreamCacheEnabled();
+  } cache_off;
   FleetProfileConfig config = SmallProfile("cityA", f.path);
-  // A long batching delay keeps submissions queued (batch of 8 never
-  // fills), so the reload swap happens while they are in flight.
-  config.max_batch = 8;
-  config.max_delay_us = 400'000;
+  config.max_batch = 1;
   ModelProfile profile(config);
 
   const Tensor window =
@@ -361,14 +371,52 @@ TEST(ModelProfileTest, ReloadDrainsInFlightRequestsOnOldWeights) {
   auto session_b = serve::InferenceSession::Open(path_b);
   const Tensor want_old = session_a->Forecast(window);
   const Tensor want_new = session_b->Forecast(window);
-  ASSERT_NE(std::memcmp(want_old.data(), want_new.data(),
-                        sizeof(float) * static_cast<size_t>(want_old.size())),
-            0);
+  const size_t bytes = sizeof(float) * static_cast<size_t>(want_old.size());
+  ASSERT_NE(std::memcmp(want_old.data(), want_new.data(), bytes), 0);
 
-  // Enqueue three forecasts, then reload before their delay expires.
-  std::vector<std::future<serve::Response>> in_flight;
-  for (int i = 0; i < 3; ++i) in_flight.push_back(profile.ForecastTile(1));
+  // A client thread keeps forecasting tile 1 across the reload with four
+  // requests always in flight, reading responses in submission order.
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> old_count{0}, new_count{0}, other{0}, submitted{0};
+  std::atomic<int64_t> old_after_new{0};
+  auto same = [bytes](const serve::Response& resp, const Tensor& want) {
+    return resp.ok && !resp.degraded && resp.forecast.shape() == want.shape() &&
+           std::memcmp(resp.forecast.data(), want.data(), bytes) == 0;
+  };
+  std::thread client([&] {
+    std::deque<std::future<serve::Response>> in_flight;
+    while (!stop.load() || !in_flight.empty()) {
+      if (!stop.load() && in_flight.size() < 4) {
+        in_flight.push_back(profile.ForecastTile(1));
+        ++submitted;
+        continue;
+      }
+      const serve::Response resp = in_flight.front().get();
+      in_flight.pop_front();
+      if (same(resp, want_old)) {
+        ++old_count;
+        if (new_count.load() > 0) ++old_after_new;
+      } else if (same(resp, want_new)) {
+        ++new_count;
+      } else {
+        ++other;  // dropped, shed or wrong bytes
+      }
+    }
+  });
+  // Waits (bounded) until `counter` has counted `n` responses.
+  auto await = [](const std::atomic<int64_t>& counter, int64_t n) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (counter.load() < n && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  await(old_count, 8);
   const ReloadResult reload = profile.Reload(path_b);
+  await(new_count, 8);
+  stop = true;
+  client.join();
+
   EXPECT_EQ(reload.version, 2);
   EXPECT_EQ(reload.ckpt_version, 2);
   EXPECT_GT(reload.prepare_us, 0.0);
@@ -377,24 +425,21 @@ TEST(ModelProfileTest, ReloadDrainsInFlightRequestsOnOldWeights) {
   EXPECT_EQ(profile.Version(), 2);
   EXPECT_EQ(profile.Info().ckpt_version, 2);
 
-  // Drain-before-retire: every in-flight request completed (nothing
-  // dropped) on the OLD generation's weights.
-  for (auto& future : in_flight) {
-    serve::Response resp = future.get();
-    ASSERT_TRUE(resp.ok);
-    EXPECT_FALSE(resp.degraded);
-    ExpectSameBits(resp.forecast, want_old);
-  }
-  // The warmed ring survived the swap; new forecasts use the new bytes.
-  ASSERT_TRUE(profile.TileReady(1));
-  serve::Response after = profile.ForecastTile(1).get();
-  ASSERT_TRUE(after.ok);
-  ExpectSameBits(after.forecast, want_new);
+  // Drain-before-retire: every response is ok and carries exactly the old
+  // or the new weights' bytes (nothing dropped, nothing mixed), both
+  // generations answered, and every request sent before the swap was
+  // answered on the old weights.
+  EXPECT_EQ(other.load(), 0);
+  EXPECT_EQ(old_after_new.load(), 0);
+  EXPECT_GE(old_count.load(), 8);
+  EXPECT_GE(new_count.load(), 8);
+  EXPECT_EQ(old_count.load() + new_count.load(), submitted.load());
 
   // Stats continuity: completions before the swap are merged from the
   // retired generation, not lost.
   const serve::ServerStats stats = profile.Stats();
-  EXPECT_EQ(stats.completed, 4);
+  EXPECT_EQ(stats.submitted, submitted.load());
+  EXPECT_EQ(stats.completed, stats.submitted);
   EXPECT_EQ(stats.shed, 0);
   std::remove(f.path.c_str());
   std::remove(path_b.c_str());
@@ -552,6 +597,44 @@ TEST(FleetLineSessionTest, RoutesProfilesAndCountsMalformedLines) {
   ASSERT_TRUE(bye.has_value());
   EXPECT_EQ(*bye, "bye");
   EXPECT_TRUE(quit);
+  std::remove(f.path.c_str());
+}
+
+TEST(FleetLineSessionTest, NonFiniteObservationLeavesTileRingUnchanged) {
+  Fixture f = MakeFixture("stwa_fleet_nonfinite.bin");
+  FleetConfig config;
+  FleetProfileConfig profile = SmallProfile("cityX", f.path);
+  profile.tiles = 2;
+  profile.shards = 1;
+  config.profiles.push_back(profile);
+  FleetNode node(config);
+  FleetLineSession session(node);
+  bool quit = false;
+  ModelProfile& cityx = node.registry().Get("cityX");
+  // Tile 0 fully warm, tile 1 part-way.
+  WarmTile(cityx, 0, ops::Slice(f.dataset.values, 1, 2, f.settings.history));
+  WarmTile(cityx, 1, ops::Slice(f.dataset.values, 1, 0, 3));
+  const auto forecast = session.Handle("cityX forecast 0", &quit);
+  ASSERT_TRUE(forecast.has_value());
+  ASSERT_EQ(forecast->rfind("forecast ok=1", 0), 0u) << *forecast;
+
+  const int64_t n = f.info.num_sensors;  // tile 1 = global sensors n..2n-1
+  const std::vector<std::string> bad = {
+      "cityX obs 0 nan 1 2 3", "cityX obs 0 1 inf 2 3",
+      "cityX obs 1 1 2 3 1e39", "cityX obs1 0 -inf",
+      "cityX obs1 " + std::to_string(n) + " NaN",
+      "cityX obs1 " + std::to_string(n + 1) + " -1e39"};
+  for (size_t i = 0; i < bad.size(); ++i) {
+    auto resp = session.Handle(bad[i], &quit);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->rfind("err bad_value", 0), 0u) << bad[i] << " -> " << *resp;
+  }
+  EXPECT_EQ(session.protocol_errors(), static_cast<int64_t>(bad.size()));
+  EXPECT_EQ(node.Stats().protocol_errors, static_cast<int64_t>(bad.size()));
+  // Neither ring moved: tile 1's warm-up count stands, and tile 0 answers
+  // with the same bytes as before the rejected lines.
+  EXPECT_EQ(cityx.TileMinFilled(1), 3);
+  EXPECT_EQ(session.Handle("cityX forecast 0", &quit), forecast);
   std::remove(f.path.c_str());
 }
 

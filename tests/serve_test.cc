@@ -2,11 +2,16 @@
 // serving checkpoints, inference sessions, micro-batching determinism and
 // overload shedding, and the line protocol.
 
+#include <cfloat>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <limits>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -459,6 +464,110 @@ TEST(BatchingQueueTest, ShedsExpiredRequestsAsDegraded) {
   EXPECT_EQ(queue.shed(), 1);
 }
 
+/// Runs NextBatch on another thread. If it has not returned within
+/// `patience`, shuts the queue down (so the call returns) and reports
+/// the timeout through *timed_out.
+std::vector<Request> NextBatchWithin(BatchingQueue& queue,
+                                     std::chrono::milliseconds patience,
+                                     bool* timed_out) {
+  auto pending = std::async(std::launch::async,
+                            [&queue] { return queue.NextBatch(); });
+  *timed_out = pending.wait_for(patience) != std::future_status::ready;
+  if (*timed_out) queue.Shutdown();
+  return pending.get();
+}
+
+void ResolveAll(std::vector<Request>& batch) {
+  for (auto& r : batch) r.promise.set_value(Response{});
+}
+
+TEST(BatchingQueueTest, StreamHeadIsReleasedAtOnceAndAlone) {
+  BatchingOptions opts;
+  opts.max_batch = 2;
+  opts.max_delay = std::chrono::microseconds(60'000'000);
+  BatchingQueue queue(opts);
+  const auto budget = std::chrono::microseconds(60'000'000);
+  std::vector<std::future<Response>> futures;
+  // Stream head, then a one-shot and another stream request behind it:
+  // far from max_delay, yet the head leaves now, without companions.
+  futures.push_back(queue.Submit(Tensor(Shape{1, 1, 1}), 0, 11, budget));
+  futures.push_back(queue.Submit(Tensor(Shape{1, 1, 1}), budget));
+  futures.push_back(queue.Submit(Tensor(Shape{1, 1, 1}), 1, 11, budget));
+  bool timed_out = false;
+  std::vector<Request> first =
+      NextBatchWithin(queue, std::chrono::seconds(10), &timed_out);
+  ASSERT_FALSE(timed_out) << "a stream head waited for max_delay";
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].stream_id, 0);
+  ResolveAll(first);
+  // Behind a one-shot head the stream request rides the full batch.
+  std::vector<Request> second =
+      NextBatchWithin(queue, std::chrono::seconds(10), &timed_out);
+  ASSERT_FALSE(timed_out);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[0].stream_id, -1);
+  EXPECT_EQ(second[1].stream_id, 1);
+  ResolveAll(second);
+
+  // A backlog of stream requests drains one at a time, in order.
+  for (int64_t s = 0; s < 5; ++s) {
+    futures.push_back(queue.Submit(Tensor(Shape{1, 1, 1}), s, 12, budget));
+  }
+  for (int64_t s = 0; s < 5; ++s) {
+    std::vector<Request> one =
+        NextBatchWithin(queue, std::chrono::seconds(10), &timed_out);
+    ASSERT_FALSE(timed_out) << "a queued stream head waited for max_delay";
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].stream_id, s);
+    ResolveAll(one);
+  }
+  EXPECT_EQ(queue.queue_depth(), 0);
+  EXPECT_EQ(queue.shed(), 0);
+  for (auto& f : futures) f.get();
+}
+
+TEST(BatchingQueueTest, OneShotHeadWaitsEvenWithStreamRequestBehind) {
+  const auto budget = std::chrono::microseconds(60'000'000);
+  {
+    // Until max_batch: a one-shot head holds the batch back although a
+    // stream request is queued behind it.
+    BatchingOptions opts;
+    opts.max_batch = 3;
+    opts.max_delay = std::chrono::microseconds(60'000'000);
+    BatchingQueue queue(opts);
+    auto a = queue.Submit(Tensor(Shape{1, 1, 1}), budget);
+    auto b = queue.Submit(Tensor(Shape{1, 1, 1}), 0, 11, budget);
+    auto pending = std::async(std::launch::async,
+                              [&queue] { return queue.NextBatch(); });
+    EXPECT_EQ(pending.wait_for(std::chrono::milliseconds(100)),
+              std::future_status::timeout)
+        << "a one-shot head was released before max_batch or max_delay";
+    auto c = queue.Submit(Tensor(Shape{1, 1, 1}), 1, 11, budget);  // full
+    ASSERT_EQ(pending.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    std::vector<Request> batch = pending.get();
+    EXPECT_EQ(batch.size(), 3u);
+    ResolveAll(batch);
+  }
+  {
+    // Or until max_delay, counted from the head's enqueue time.
+    BatchingOptions opts;
+    opts.max_batch = 8;
+    opts.max_delay = std::chrono::microseconds(20'000);
+    BatchingQueue queue(opts);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto a = queue.Submit(Tensor(Shape{1, 1, 1}), budget);
+    auto b = queue.Submit(Tensor(Shape{1, 1, 1}), 0, 11, budget);
+    bool timed_out = false;
+    std::vector<Request> batch =
+        NextBatchWithin(queue, std::chrono::seconds(10), &timed_out);
+    ASSERT_FALSE(timed_out);
+    EXPECT_GE(std::chrono::steady_clock::now() - t0, opts.max_delay);
+    EXPECT_EQ(batch.size(), 2u);
+    ResolveAll(batch);
+  }
+}
+
 TEST(BatchingQueueTest, SubmitAfterShutdownIsShed) {
   BatchingQueue queue(BatchingOptions{});
   queue.Shutdown();
@@ -601,6 +710,96 @@ TEST(ProtocolTest, FormatsForecastAndShedResponses) {
   EXPECT_EQ(bad.rfind("forecast ok=0 degraded=1 err=", 0), 0u) << bad;
   EXPECT_EQ(bad.find(' ', bad.find("err=")), std::string::npos)
       << "shed reason must be one token: " << bad;
+}
+
+float FromBits(uint32_t bits) {
+  float v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+uint32_t ToBits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(ProtocolTest, ForecastValuesMatchPrintfAndRoundTrip) {
+  std::vector<float> values = {
+      0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      FromBits(0x7fa00001u), FromBits(0xffc12345u),  // NaN payloads
+      FromBits(0x00000001u), FromBits(0x80000001u),  // smallest denormals
+      FromBits(0x007fffffu), FromBits(0x807fffffu),  // largest denormals
+      FLT_MIN, -FLT_MIN, FLT_MAX, -FLT_MAX, FLT_EPSILON, 1.0f, -1.0f,
+      0.1f, 100.0f, 123456789.0f, 1e-10f, 3.4e38f};
+  std::mt19937 rng(20221);
+  constexpr int64_t kRandom = 1 << 20;
+  for (int64_t i = 0; i < kRandom; ++i) {
+    values.push_back(FromBits(static_cast<uint32_t>(rng())));
+  }
+  Response resp;
+  resp.ok = true;
+  resp.forecast = Tensor(Shape{1, static_cast<int64_t>(values.size()), 1});
+  std::memcpy(resp.forecast.data(), values.data(),
+              sizeof(float) * values.size());
+  const std::string line = FormatForecastResponse(
+      resp, 1, static_cast<int64_t>(values.size()), 1);
+  const std::string head =
+      "forecast ok=1 degraded=0 n=1 u=" + std::to_string(values.size());
+  ASSERT_EQ(line.compare(0, head.size(), head), 0);
+
+  // Byte-equal to snprintf("%.9g"), value by value.
+  size_t pos = head.size();
+  char buf[32];
+  for (float v : values) {
+    const size_t len = static_cast<size_t>(
+        std::snprintf(buf, sizeof(buf), " %.9g", static_cast<double>(v)));
+    ASSERT_EQ(line.compare(pos, len, buf), 0)
+        << "bits 0x" << std::hex << ToBits(v) << " want '" << buf
+        << "' got '" << line.substr(pos, len) << "'";
+    pos += len;
+  }
+  EXPECT_EQ(pos, line.size());
+
+  // Every value parses back to the same bits (NaN to some NaN).
+  const char* p = line.c_str() + head.size();
+  for (float v : values) {
+    char* end = nullptr;
+    const float got = std::strtof(p, &end);
+    ASSERT_NE(end, p);
+    if (std::isnan(v)) {
+      EXPECT_TRUE(std::isnan(got));
+    } else {
+      ASSERT_EQ(ToBits(got), ToBits(v)) << "bits 0x" << std::hex << ToBits(v);
+    }
+    p = end;
+  }
+  EXPECT_EQ(*p, '\0');
+}
+
+TEST(ProtocolTest, RejectsNonFiniteValues) {
+  for (const std::string line :
+       {"obs nan 1", "obs 1 NaN", "obs inf 2", "obs -inf", "obs infinity",
+        "obs 1e39", "obs -1e39", "obs1 0 nan", "obs1 0 inf", "obs1 0 1e39"}) {
+    Command c = ParseCommand(line);
+    EXPECT_EQ(c.kind, Command::Kind::kInvalid) << line;
+    EXPECT_NE(c.error.find("bad value"), std::string::npos) << line;
+  }
+  // Finite extremes, denormals and underflow to zero stay valid.
+  Command ok = ParseCommand("obs 3.40282347e38 1e-45 1e-50 -0");
+  ASSERT_EQ(ok.kind, Command::Kind::kObs) << ok.error;
+  EXPECT_EQ(ok.values[0], FLT_MAX);
+  EXPECT_EQ(ok.values[1], FromBits(0x00000001u));
+  float v = 0.0f;
+  EXPECT_FALSE(ParseFloatToken("", &v));
+  EXPECT_FALSE(ParseFloatToken("1.5x", &v));
+  int64_t i = 0;
+  EXPECT_TRUE(ParseIntToken("-7", &i));
+  EXPECT_EQ(i, -7);
+  EXPECT_FALSE(ParseIntToken("7.0", &i));
 }
 
 // ---------------------------------------------------------------------------
@@ -756,6 +955,41 @@ TEST(LineSessionTest, WarmingForecastReportsProgress) {
       << *resp;
   // Not a protocol error: the line was well-formed.
   EXPECT_EQ(session.protocol_errors(), 0);
+  std::remove(f.path.c_str());
+}
+
+TEST(LineSessionTest, NonFiniteObservationLeavesStreamUnchanged) {
+  Fixture f = MakeFixture("stwa_serve_session_nonfinite.bin");
+  Server server(f.path, ServerOptions{});
+  LineSession session(server);
+  bool quit = false;
+  const int64_t n = f.info.num_sensors;
+  for (int64_t s = 0; s < f.settings.history; ++s) {
+    std::string line = "obs";
+    for (int64_t i = 0; i < n; ++i) line += " " + std::to_string(s + i);
+    ASSERT_EQ(session.Handle(line, &quit), "ok");
+  }
+  const Tensor before = session.state().Window();
+  const int64_t anchor = session.state().anchor();
+  const auto forecast = session.Handle("forecast", &quit);
+  ASSERT_TRUE(forecast.has_value());
+
+  const std::vector<std::string> bad = {
+      "obs nan 1 2 3", "obs 1 inf 2 3", "obs 1 2 -inf 3", "obs 1 2 3 1e39",
+      "obs1 0 nan", "obs1 1 -1e39"};
+  for (size_t i = 0; i < bad.size(); ++i) {
+    auto resp = session.Handle(bad[i], &quit);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->rfind("err bad_value", 0), 0u) << *resp;
+    EXPECT_EQ(session.protocol_errors(), static_cast<int64_t>(i + 1));
+  }
+  const Tensor after = session.state().Window();
+  EXPECT_EQ(session.state().anchor(), anchor);
+  ASSERT_EQ(after.shape(), before.shape());
+  EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                        sizeof(float) * static_cast<size_t>(before.size())),
+            0);
+  EXPECT_EQ(session.Handle("forecast", &quit), forecast);
   std::remove(f.path.c_str());
 }
 

@@ -406,6 +406,47 @@ TEST(ServerStreamCacheTest, SingletonStreamSubmitsHitTheCache) {
   EXPECT_EQ(stats.stream_cache.stale_rejected, 0);
 }
 
+TEST(ServerStreamCacheTest, QueuedStreamBatchCountsBypassesAndMatchesCold) {
+  CacheModeGuard guard(true);
+  Fixture f = MakeFixture("stwa_sc_batched.bin", "ST-WA");
+  const int64_t h = f.settings.history;
+  const int64_t k = 3;
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.batching.max_batch = k + 1;
+  opts.batching.max_delay = std::chrono::microseconds(60'000'000);
+  opts.default_deadline = std::chrono::seconds(120);
+  Server server(f.path, opts);
+  // A one-shot head waits for max_batch, so the k stream requests queue
+  // up behind it and all leave in the one full batch.
+  Tensor head = ops::Slice(f.dataset.values, 1, 40, h);
+  std::future<Response> head_future =
+      server.Submit(head, std::chrono::seconds(120));
+  std::vector<Tensor> windows;
+  std::vector<std::future<Response>> futures;
+  for (int64_t s = 0; s < k; ++s) {
+    windows.push_back(ops::Slice(f.dataset.values, 1, 5 * s, h));
+    futures.push_back(server.Submit(windows.back(), s, 5 * s + h - 1));
+  }
+  auto reference = InferenceSession::Open(f.path);
+  ASSERT_TRUE(head_future.get().ok);
+  for (int64_t s = 0; s < k; ++s) {
+    Response resp = futures[static_cast<size_t>(s)].get();
+    ASSERT_TRUE(resp.ok);
+    EXPECT_EQ(resp.batch_size, k + 1);
+    EXPECT_TRUE(SameBytes(resp.forecast,
+                          reference->Forecast(windows[static_cast<size_t>(s)])))
+        << "stream " << s;
+  }
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.stream_cache.bypass, k);
+  EXPECT_EQ(stats.stream_cache.output_hits + stats.stream_cache.shift_hits +
+                stats.stream_cache.misses,
+            0);
+  std::remove(f.path.c_str());
+}
+
 TEST(ServerStreamCacheTest, DisabledModeRunsCacheFree) {
   Fixture f = MakeFixture("stwa_sc_gate.bin", "ST-WA");
   CacheModeGuard guard(false);
