@@ -10,7 +10,7 @@
 //   * dispatch: ops::UnaryOp (type-erased std::function) vs ops::UnaryMap
 //     (inlined functor) on the same data — the de-virtualisation delta;
 //   * train_step: heap allocations per training step on the quickstart
-//     ST-WA config, pool on vs off (STWA_DISABLE_POOL A/B in one process);
+//     ST-WA config, pool on vs off (pool::SetEnabled A/B in one process);
 //   * graph_plan: traced vs replayed train step on a captured execution
 //     plan — wall time, tape nodes/bytes and pool traffic per step, plus
 //     the per-OpKind forward/backward profile. The plan summary and the
@@ -18,7 +18,8 @@
 //     bench_out/BENCH_graph.json;
 //   * graph_fusion: the plan-rewrite A/B — eval-step executed-node counts
 //     with the fusion passes off vs on, fused-kernel replay timings, and a
-//     region-parallel thread sweep memcmp'd against the serial reference
+//     thread sweep (region replay at >1 thread, serial under
+//     ScopedSerialRegion) memcmp'd against the serial reference
 //     (lands in the BENCH_graph.json "graph_fusion" section).
 //
 // Thread counts swept: 1, 2, 4 and the runtime default (deduplicated).
@@ -598,15 +599,10 @@ std::string BenchGraphFusion(std::vector<Measurement>* results) {
     return capture.Finish(pred, {batch.x}, /*with_backward=*/false);
   };
 
-  // Serial plans (region-parallel off) isolate the fusion delta; the
-  // region-parallel plan is captured separately for the thread sweep.
-  ir::SetRegionParMode(false);
   ir::SetFuseMode(false);
   auto unfused = capture_eval();
   ir::SetFuseMode(true);
   auto fused = capture_eval();
-  ir::SetRegionParMode(true);
-  auto fused_par = capture_eval();
 
   // Honest train-plan numbers: the same rewrite passes run on the training
   // capture, but only gradient-free subgraphs are legal to fuse there.
@@ -623,9 +619,7 @@ std::string BenchGraphFusion(std::vector<Measurement>* results) {
     train_plan = capture.Finish(loss, {batch.x, batch.y},
                                 /*with_backward=*/true);
   }
-  ir::SetFuseMode(true);
-  ir::SetRegionParMode(true);
-  if (unfused == nullptr || fused == nullptr || fused_par == nullptr) {
+  if (unfused == nullptr || fused == nullptr) {
     std::cout << "graph_fusion: eval capture was unplannable, section "
                  "skipped\n";
     return "null";
@@ -640,7 +634,7 @@ std::string BenchGraphFusion(std::vector<Measurement>* results) {
           : 0.0;
 
   const int reps = SmokeMode() ? 5 : 20;
-  runtime::SetNumThreads(1);
+  runtime::SetNumThreads(1);  // serial replays isolate the fusion delta
   Measurement unfused_m{"graph_fusion_replay_unfused", us.forward_ops, 1,
                         0.0, 0.0};
   unfused_m.seconds =
@@ -651,17 +645,21 @@ std::string BenchGraphFusion(std::vector<Measurement>* results) {
   fused_m.seconds = TimeBest(reps, [&] { fused->ReplayForward({batch.x}); });
   results->push_back(fused_m);
 
-  // Thread sweep: serial single-thread output is the reference; both the
-  // serial and the region-parallel plans must reproduce it bit-for-bit at
-  // every thread count.
+  // Thread sweep: serial single-thread output is the reference. Above one
+  // thread the fused plan replays its region schedule on the pool, and
+  // serially under ScopedSerialRegion; both must reproduce the reference
+  // bit-for-bit at every thread count.
   Tensor reference = unfused->ReplayForward({batch.x}).Clone();
   int64_t mismatches = 0;
   const std::array<int, 3> sweep = {1, 2, 4};
   double par_seconds_4t = 0.0;
   for (int threads : sweep) {
     runtime::SetNumThreads(threads);
-    const Tensor serial = fused->ReplayForward({batch.x}).Clone();
-    const Tensor parallel = fused_par->ReplayForward({batch.x}).Clone();
+    const Tensor parallel = fused->ReplayForward({batch.x}).Clone();
+    const Tensor serial = [&] {
+      runtime::ScopedSerialRegion serial_region;
+      return fused->ReplayForward({batch.x}).Clone();
+    }();
     for (const Tensor* t : {&serial, &parallel}) {
       if (t->shape() != reference.shape() ||
           std::memcmp(t->data(), reference.data(),
@@ -671,7 +669,7 @@ std::string BenchGraphFusion(std::vector<Measurement>* results) {
     }
     if (threads == 4) {
       par_seconds_4t =
-          TimeBest(reps, [&] { fused_par->ReplayForward({batch.x}); });
+          TimeBest(reps, [&] { fused->ReplayForward({batch.x}); });
       Measurement par_m{"graph_fusion_replay_region_par", fs.forward_ops, 4,
                         par_seconds_4t, 0.0};
       results->push_back(par_m);

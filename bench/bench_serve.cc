@@ -297,7 +297,6 @@ void Run() {
 
   const int64_t tier_requests = smoke ? 48 : 256;
   const bool amb_fuse = ir::FuseModeEnabled();
-  const bool amb_rp = ir::RegionParModeEnabled();
   std::vector<ModeResult> tier_modes;
   std::vector<TierDeterminism> tier_det;
   std::cout << "\ntier serving (d_model=" << heavy.d_model << ", hidden="
@@ -325,8 +324,9 @@ void Run() {
               << ", p50 " << FormatFloat(m.p50 / 1000.0, 2)
               << "ms, served-vs-offline mismatches " << m.mismatches << "\n";
 
-    // Intra-tier determinism: {1,4} threads x {single, batched} x
-    // {rewrites on, off} must all reproduce the reference bytes.
+    // Intra-tier determinism: {1,4} threads (serial vs region replay) x
+    // {single, batched} x {rewrites on, off} must all reproduce the
+    // reference bytes.
     const int64_t bs = 8;
     const int64_t sample =
         info.num_sensors * settings.history * info.num_features;
@@ -343,7 +343,6 @@ void Run() {
       runtime::SetNumThreads(threads);
       for (const bool rewrites : {true, false}) {
         ir::SetFuseMode(rewrites);
-        ir::SetRegionParMode(rewrites);
         auto s = serve::InferenceSession::Open(heavy_ckpt, cfg);
         for (size_t i = 0; i < windows.size(); ++i) {
           Tensor got = s->Forecast(windows[i]);
@@ -369,7 +368,6 @@ void Run() {
       }
     }
     ir::SetFuseMode(amb_fuse);
-    ir::SetRegionParMode(amb_rp);
     runtime::SetNumThreads(0);
     tier_det.push_back(det);
     std::cout << "  " << det.precision

@@ -162,13 +162,10 @@ int64_t g_run_ckpt_version = 0;
 
 void ReportRuntime() {
   const std::string env = GetEnvOr("STWA_NUM_THREADS", "");
-  const std::string pool_env = GetEnvOr("STWA_DISABLE_POOL", "");
   std::cout << "[runtime] threads=" << runtime::NumThreads()
             << (env.empty() ? " (hardware default)"
                             : " (STWA_NUM_THREADS=" + env + ")")
             << " pool=" << (pool::Enabled() ? "on" : "off")
-            << (pool_env.empty() ? ""
-                                 : " (STWA_DISABLE_POOL=" + pool_env + ")")
             << " simd=" << simd::IsaName()
             << " precision=" << RunPrecisionName()
             << " stream_cache="

@@ -83,9 +83,8 @@ std::shared_ptr<Generation> ModelProfile::BuildGeneration(
   options.default_deadline = std::chrono::microseconds(config_.deadline_us);
   options.serial_kernels = config_.serial_kernels;
   // Shards share the profile cache and present the generation version as
-  // their cache tag; a null profile cache keeps shards cache-free (they
-  // must not each self-create one — stats would fold per shard).
-  options.stream_cache = stream_cache_ != nullptr;
+  // their cache tag. The profile creates its cache under the same switch a
+  // server checks, so a null profile cache leaves shards cache-free.
   options.cache = stream_cache_;
   options.generation = static_cast<uint64_t>(version);
   gen->shards.reserve(static_cast<size_t>(config_.shards));

@@ -167,8 +167,8 @@ class ModelProfile {
   int64_t features_ = 0;
 
   /// Shared across every shard of every generation; entries are tagged
-  /// with the generation that wrote them. Null when STWA_NO_STREAM_CACHE
-  /// disabled the path at profile construction.
+  /// with the generation that wrote them. Null when
+  /// serve::StreamCacheEnabled() was false at profile construction.
   std::shared_ptr<serve::StreamCache> stream_cache_;
 
   /// Guards gen_ swaps: forecasts hold it shared across the enqueue, a

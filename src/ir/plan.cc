@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "common/string_util.h"
 #include "ir/capture.h"
 #include "ir/registry.h"
 #include "ir/rewrite.h"
@@ -24,46 +23,25 @@ int64_t ValueBytes(const Node* n) {
   return n->value.size() * static_cast<int64_t>(sizeof(float));
 }
 
-/// -1 unresolved, 0 disabled, 1 enabled (same lazy pattern for all gates).
-int g_plan_mode = -1;
-int g_fuse_mode = -1;
-int g_region_par_mode = -1;
+bool g_plan_mode = true;
+bool g_fuse_mode = true;
 
 }  // namespace
 
-bool PlanModeEnabled() {
-  if (g_plan_mode < 0) {
-    g_plan_mode = GetEnvIntOr("STWA_NO_PLAN", 0) != 0 ? 0 : 1;
-  }
-  return g_plan_mode == 1;
-}
+bool PlanModeEnabled() { return g_plan_mode; }
 
-void SetPlanMode(bool enabled) { g_plan_mode = enabled ? 1 : 0; }
+void SetPlanMode(bool enabled) { g_plan_mode = enabled; }
 
-bool FuseModeEnabled() {
-  if (g_fuse_mode < 0) {
-#ifdef STWA_NO_FUSE
-    g_fuse_mode = 0;  // compiled-in default for the -DSTWA_NO_FUSE=ON leg
-#else
-    g_fuse_mode = GetEnvIntOr("STWA_NO_FUSE", 0) != 0 ? 0 : 1;
-#endif
-  }
-  return g_fuse_mode == 1;
-}
+bool FuseModeEnabled() { return g_fuse_mode; }
 
-void SetFuseMode(bool enabled) { g_fuse_mode = enabled ? 1 : 0; }
+void SetFuseMode(bool enabled) { g_fuse_mode = enabled; }
 
 bool RegionParModeEnabled() {
-  if (g_region_par_mode < 0) {
-    g_region_par_mode = GetEnvIntOr("STWA_NO_REGION_PAR", 0) != 0 ? 0 : 1;
-  }
-  return g_region_par_mode == 1;
+  return runtime::detail::ShouldParallelize(/*range=*/2, /*grain=*/1);
 }
 
-void SetRegionParMode(bool enabled) { g_region_par_mode = enabled ? 1 : 0; }
-
 PlanModes SnapshotPlanModes() {
-  return {PlanModeEnabled(), FuseModeEnabled(), RegionParModeEnabled()};
+  return {PlanModeEnabled(), FuseModeEnabled()};
 }
 
 // --- GraphCapture ---------------------------------------------------------
@@ -153,7 +131,6 @@ std::unique_ptr<ExecutionPlan> GraphCapture::Finish(
   // Region partition of the rewritten schedule (always built — it feeds
   // stats and the signature even when replays stay serial).
   plan->regions_ = BuildRegionSchedule(plan->forward_);
-  plan->region_par_ = modes_.region_parallel;
   plan->stage_regions_.assign(
       static_cast<size_t>(plan->regions_.num_stages), {});
   for (size_t r = 0; r < plan->regions_.regions.size(); ++r) {
@@ -371,7 +348,7 @@ void ExecutionPlan::RunForwardRegions() {
 }
 
 void ExecutionPlan::RunForward() {
-  if (region_par_ && !profiling_) {
+  if (!profiling_ && RegionParModeEnabled()) {
     RunForwardRegions();
     return;
   }

@@ -37,14 +37,18 @@
 // per-element results independent of fusion and of region parallelism
 // (the simd.h lane-independence contract).
 //
-// Mode gates (each env var / setter pair follows the same lazy pattern):
-//   STWA_NO_PLAN=1 / SetPlanMode(false)          — no capture/replay at all;
-//   STWA_NO_FUSE=1 / SetFuseMode(false)          — capture without rewriting
-//     (also the compiled-in default under -DSTWA_NO_FUSE=ON);
-//   STWA_NO_REGION_PAR=1 / SetRegionParMode(false) — replay serially.
-// Consumers snapshot all three at capture/session setup via
-// SnapshotPlanModes(), so a mid-run toggle can never produce a half-planned
-// epoch or a half-fused session.
+// Switches (one in-process setter per alternate path, for A/B tests and
+// benches):
+//   SetPlanMode(false) — no capture/replay at all (eager tracing);
+//   SetFuseMode(false) — capture without the fusion rewrites.
+// Consumers snapshot both at capture/session setup via SnapshotPlanModes(),
+// so a mid-run toggle can never produce a half-planned epoch or a
+// half-fused session. Region replay has no switch: a forward replay runs
+// the staged region schedule whenever the calling thread could dispatch to
+// the worker pool (more than one pool thread, not inside a parallel
+// region, not profiling), and the serial per-step loop otherwise — which
+// frees each buffer right after its last use. Fleet shard workers
+// (ScopedSerialRegion) and 1-thread pools therefore replay serially.
 
 #ifndef STWA_IR_PLAN_H_
 #define STWA_IR_PLAN_H_
@@ -114,12 +118,11 @@ struct OpProfile {
   uint64_t heap_allocs = 0;
 };
 
-/// One consumer-visible snapshot of the three plan gates. Taken once per
+/// One consumer-visible snapshot of the plan switches. Taken once per
 /// capture scope / session so every decision downstream of it agrees.
 struct PlanModes {
   bool plan = true;
   bool fuse = true;
-  bool region_parallel = true;
 };
 
 /// A frozen forward(+backward) schedule over a captured graph. Created by
@@ -218,9 +221,6 @@ class ExecutionPlan {
   /// (stage_regions_[s] = region indices of stage s, ascending).
   RegionSchedule regions_;
   std::vector<std::vector<int64_t>> stage_regions_;
-  /// Whether replays may dispatch stage regions onto the worker pool
-  /// (snapshot of the region-parallel gate at capture).
-  bool region_par_ = false;
 
   /// release_after_forward_[i]: nodes whose buffers are dead once
   /// forward_[i] has executed (likewise for backward steps). Releasing
@@ -242,13 +242,13 @@ class ExecutionPlan {
 
 /// RAII recording scope. Construct, trace one step eagerly (build the loss
 /// or prediction as usual), then Finish() to freeze a plan. If the scope
-/// dies without Finish(), the recording is discarded. The fuse /
-/// region-parallel gates are snapshotted at construction, so a toggle
-/// between tracing and Finish() cannot split one plan across modes.
+/// dies without Finish(), the recording is discarded. The fuse switch is
+/// snapshotted at construction, so a toggle between tracing and Finish()
+/// cannot split one plan across modes.
 class GraphCapture {
  public:
   GraphCapture();
-  /// Uses a caller-held gate snapshot instead of re-reading the globals
+  /// Uses a caller-held switch snapshot instead of re-reading the globals
   /// (serving snapshots once at session open and passes it to every
   /// capture of that session).
   explicit GraphCapture(PlanModes modes);
@@ -274,30 +274,29 @@ class GraphCapture {
 };
 
 /// True when plan capture/replay is globally enabled: the default, unless
-/// the STWA_NO_PLAN environment variable is set to a non-zero value or
 /// SetPlanMode(false) was called.
 bool PlanModeEnabled();
 
-/// Runtime override of the STWA_NO_PLAN gate (used by A/B tests and bench).
+/// The in-process plan switch (A/B tests and benches).
 void SetPlanMode(bool enabled);
 
-/// True when the fusion rewrite passes run at capture. Default on, unless
-/// the build sets -DSTWA_NO_FUSE=ON, the STWA_NO_FUSE environment variable
-/// is non-zero, or SetFuseMode(false) was called.
+/// True when the fusion rewrite passes run at capture: the default, unless
+/// SetFuseMode(false) was called.
 bool FuseModeEnabled();
 
-/// Runtime override of the STWA_NO_FUSE gate.
+/// The in-process fusion switch.
 void SetFuseMode(bool enabled);
 
-/// True when replays may execute stage regions on the worker pool. Default
-/// on, unless STWA_NO_REGION_PAR is non-zero or SetRegionParMode(false)
-/// was called. Serial and parallel replays are bit-identical either way.
+/// Read-only report of the region-replay rule for the calling thread: true
+/// when the worker pool has more than one thread and the caller is not
+/// inside a parallel region (runtime::detail::ShouldParallelize). A
+/// non-profiled forward replay then runs the staged region schedule;
+/// otherwise it runs serially. Serial and region replays are
+/// bit-identical. Change the outcome with runtime::SetNumThreads or
+/// runtime::ScopedSerialRegion.
 bool RegionParModeEnabled();
 
-/// Runtime override of the STWA_NO_REGION_PAR gate.
-void SetRegionParMode(bool enabled);
-
-/// Reads all three gates at once. Trainer and serving snapshot this at
+/// Reads both switches at once. Trainer and serving snapshot this at
 /// setup and never consult the globals again, so every capture and replay
 /// of one run agrees on the modes.
 PlanModes SnapshotPlanModes();

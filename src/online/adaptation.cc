@@ -35,7 +35,6 @@ OnlineLearner::OnlineLearner(const std::string& checkpoint_path,
   nn::LoadParameters(*model_, checkpoint_path);
   train::StepEngineConfig engine_config;
   engine_config.lr = config_.adapt_lr;
-  engine_config.use_plan = config_.use_plan;
   engine_ = std::make_unique<train::StepEngine>(*model_, engine_config);
 }
 

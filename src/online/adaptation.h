@@ -71,8 +71,6 @@ struct OnlineConfig {
   int64_t cooldown_rows = 64;
   /// Seed of the replay-sampling stream.
   uint64_t seed = 7;
-  /// Plan mode forwarded to the StepEngine (train/step_engine.h).
-  int use_plan = -1;
   /// Where adapted checkpoints are re-saved; empty = overwrite the source
   /// checkpoint (the usual fleet arrangement: Reload re-reads the path it
   /// already serves).

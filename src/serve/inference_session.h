@@ -79,10 +79,10 @@ class InferenceSession {
   /// NoGradMode. Deterministic: eval mode uses the latent mean, so equal
   /// inputs give bit-equal outputs for any batch size. The first call per
   /// batch size captures a forward-only execution plan (ir/plan.h) —
-  /// fused and region-partitioned per the gates snapshotted when the
-  /// session was opened; later calls replay it with the new window data —
-  /// bit-identical outputs, no graph construction. STWA_NO_PLAN=1 (at
-  /// open time) keeps every call eager.
+  /// fused per the switches snapshotted when the session was opened;
+  /// later calls replay it with the new window data — bit-identical
+  /// outputs, no graph construction. ir::SetPlanMode(false) (at open
+  /// time) keeps every call eager.
   Tensor Forecast(const Tensor& raw_window);
 
   /// Forecast for one live stream with cross-call reuse. `raw_window` is

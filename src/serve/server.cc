@@ -61,16 +61,12 @@ Server::Server(const std::string& checkpoint_path,
 }
 
 void Server::Start(int workers) {
-  // Resolve the stream cache before any worker can pop a request. The env
-  // gate wins over both the options flag and an injected cache, so
-  // STWA_NO_STREAM_CACHE=1 disables the whole path even under the fleet.
-  if (options_.stream_cache && StreamCacheEnabled()) {
-    if (options_.cache) {
-      cache_ = options_.cache;
-    } else {
-      cache_ = std::make_shared<StreamCache>(options_.generation);
-      cache_owner_ = true;
-    }
+  // Resolve the stream cache before any worker can pop a request.
+  if (options_.cache) {
+    cache_ = options_.cache;
+  } else if (StreamCacheEnabled()) {
+    cache_ = std::make_shared<StreamCache>(options_.generation);
+    cache_owner_ = true;
   }
   for (int i = 0; i < workers; ++i) {
     Worker& w = *workers_[i];

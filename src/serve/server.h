@@ -46,19 +46,13 @@ struct ServerOptions {
   /// per-kernel pool dispatch is pure contention there. Outputs are
   /// bit-identical either way (ParallelFor determinism contract).
   bool serial_kernels = false;
-  /// Per-stream activation cache for incremental streaming inference
-  /// (serve/stream_cache.h). When enabled, stream-tagged Submits that
-  /// execute as singleton batches take InferenceSession::ForecastStream —
-  /// byte-identical to the cold path, memcmp-enforced. STWA_NO_STREAM_CACHE=1
-  /// wins over this flag. Stream requests skip batching.max_delay: at the
-  /// head of the queue they leave as soon as a worker is free, alone, so
-  /// they ride a larger batch only behind a one-shot head;
-  /// batching.max_delay applies to one-shot requests only.
-  bool stream_cache = true;
-  /// Externally owned cache (the fleet layer shares one cache across a
-  /// profile's shards and reload generations). Null + stream_cache on:
-  /// the server creates and owns a private cache, and folds its stats
-  /// into Stats(). Non-null: the owner folds stats itself.
+  /// Externally owned per-stream activation cache (serve/stream_cache.h);
+  /// the fleet layer shares one cache across a profile's shards and reload
+  /// generations, and folds its stats itself. Null: the server creates and
+  /// owns a private cache when StreamCacheEnabled(), and folds its stats
+  /// into Stats(). With a cache, stream-tagged Submits that execute as
+  /// singleton batches take InferenceSession::ForecastStream —
+  /// byte-identical to the cold path, memcmp-enforced.
   std::shared_ptr<StreamCache> cache;
   /// Weights generation this server serves (tags cache entries; the fleet
   /// layer passes the model version so reloads never read stale entries).
@@ -152,7 +146,7 @@ class Server {
   ServerOptions options_;
   BatchingQueue queue_;
   /// Stream cache in use: options_.cache when provided, else a private
-  /// one (created when options_.stream_cache and the env gate allow it).
+  /// one (created when StreamCacheEnabled()).
   std::shared_ptr<StreamCache> cache_;
   /// True when cache_ was self-created — then Stats() folds its counters.
   bool cache_owner_ = false;

@@ -2,28 +2,17 @@
 
 #include <utility>
 
-#include "common/string_util.h"
-
 namespace stwa {
 namespace serve {
 namespace {
 
-/// -1 unresolved, 0 disabled, 1 enabled (the ir/plan.cc gate pattern).
-int g_stream_cache_mode = -1;
+bool g_stream_cache_mode = true;
 
 }  // namespace
 
-bool StreamCacheEnabled() {
-  if (g_stream_cache_mode < 0) {
-    g_stream_cache_mode =
-        GetEnvIntOr("STWA_NO_STREAM_CACHE", 0) != 0 ? 0 : 1;
-  }
-  return g_stream_cache_mode == 1;
-}
+bool StreamCacheEnabled() { return g_stream_cache_mode; }
 
-void SetStreamCacheMode(bool enabled) {
-  g_stream_cache_mode = enabled ? 1 : 0;
-}
+void SetStreamCacheMode(bool enabled) { g_stream_cache_mode = enabled; }
 
 void StreamCacheStats::Merge(const StreamCacheStats& other) {
   output_hits += other.output_hits;

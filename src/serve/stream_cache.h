@@ -31,8 +31,8 @@
 // shards of a fleet profile — the determinism contract makes every
 // worker's bytes interchangeable).
 //
-// Escape hatch: STWA_NO_STREAM_CACHE=1 / SetStreamCacheMode(false)
-// disables the whole path (servers then never construct a cache).
+// Switch: SetStreamCacheMode(false) disables the whole path (servers and
+// fleet profiles constructed afterwards never create a cache).
 
 #ifndef STWA_SERVE_STREAM_CACHE_H_
 #define STWA_SERVE_STREAM_CACHE_H_
@@ -136,11 +136,11 @@ class StreamCache {
 };
 
 /// True when streaming-cache use is globally enabled: the default, unless
-/// STWA_NO_STREAM_CACHE is set non-zero or SetStreamCacheMode(false) was
-/// called. Servers read this once at construction.
+/// SetStreamCacheMode(false) was called. Servers and fleet profiles read
+/// this once at construction.
 bool StreamCacheEnabled();
 
-/// Runtime override of the STWA_NO_STREAM_CACHE gate (A/B benches).
+/// The in-process stream-cache switch (A/B tests and benches).
 void SetStreamCacheMode(bool enabled);
 
 }  // namespace serve

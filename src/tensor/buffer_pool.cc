@@ -46,7 +46,6 @@ struct Pool {
 Pool& GetPool() {
   static Pool* p = [] {
     Pool* pool = new Pool;
-    pool->enabled = GetEnvIntOr("STWA_DISABLE_POOL", 0) == 0;
     pool->max_pooled_bytes = static_cast<uint64_t>(GetEnvIntOr(
         "STWA_POOL_MAX_BYTES", static_cast<int64_t>(kMaxPooledBytes)));
     return pool;

@@ -17,12 +17,11 @@
 //     buffers are freed;
 //   * observable: per-process hit/miss/outstanding-byte counters
 //     (pool::Stats()) feed the bench allocation columns;
-//   * optional: STWA_DISABLE_POOL=1 (or pool::SetEnabled(false)) bypasses
-//     recycling entirely for A/B runs — every acquire heap-allocates and
-//     every release frees. Training results are bit-identical either way:
-//     recycled buffers carry stale bytes, but every kernel writes each
-//     output element before it can be read (see DESIGN.md "Memory
-//     management").
+//   * optional: pool::SetEnabled(false) bypasses recycling entirely for
+//     A/B runs — every acquire heap-allocates and every release frees.
+//     Training results are bit-identical either way: recycled buffers
+//     carry stale bytes, but every kernel writes each output element
+//     before it can be read (see DESIGN.md "Memory management").
 //
 // Determinism: which physical buffer a tensor gets never influences the
 // values computed into it, and buffers are acquired/released only from the
@@ -107,7 +106,7 @@ struct PoolStats {
 /// buffer.
 std::shared_ptr<FloatBuffer> Acquire(int64_t n);
 
-/// True when recycling is active (default unless STWA_DISABLE_POOL is set).
+/// True when recycling is active (default unless SetEnabled(false)).
 bool Enabled();
 
 /// Switches recycling on/off at runtime (used by A/B tests). Outstanding

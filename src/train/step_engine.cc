@@ -20,8 +20,7 @@ std::string PlanKey(const data::Batch& batch) {
 StepEngine::StepEngine(ForecastModel& model, StepEngineConfig config)
     : model_(model),
       config_(config),
-      use_plan_(config.use_plan >= 0 ? config.use_plan != 0
-                                     : ir::SnapshotPlanModes().plan),
+      use_plan_(ir::PlanModeEnabled()),
       params_(model.Parameters()) {}
 
 optim::Optimizer& StepEngine::optimizer() {

@@ -76,11 +76,6 @@ struct StepEngineConfig {
   float lr = 1e-3f;
   float clip_norm = 5.0f;
   float huber_delta = 1.0f;
-  /// Captured execution plans: -1 follows the global gate (on unless
-  /// STWA_NO_PLAN / ir::SetPlanMode(false)), 0 forces eager tracing,
-  /// 1 forces capture+replay. Either setting steps to bit-identical
-  /// weights.
-  int use_plan = -1;
 };
 
 /// Owns the cross-step training state of one model. Not thread-safe: one
@@ -90,7 +85,10 @@ class StepEngine {
  public:
   /// The engine aliases `model`'s parameters; the model must outlive it.
   /// Adam state is created lazily on the first Step(), so an engine used
-  /// only for evaluation costs no optimizer memory.
+  /// only for evaluation costs no optimizer memory. The plan switch
+  /// (ir::SetPlanMode) is read once here, so a mid-run toggle can never
+  /// split one engine between planned and eager steps; either way the
+  /// engine steps to bit-identical weights.
   StepEngine(ForecastModel& model, StepEngineConfig config);
 
   StepEngine(const StepEngine&) = delete;

@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "ir/plan.h"
 #include "optim/early_stopping.h"
 #include "runtime/parallel.h"
 
@@ -14,8 +13,6 @@ namespace train {
 Trainer::Trainer(const data::TrafficDataset& dataset, int64_t history,
                  int64_t horizon, TrainConfig config)
     : config_(config),
-      use_plan_(config.use_plan >= 0 ? config.use_plan != 0
-                                     : ir::SnapshotPlanModes().plan),
       history_(history),
       horizon_(horizon) {
   if (config_.num_threads > 0) {
@@ -42,7 +39,6 @@ StepEngineConfig Trainer::EngineConfig() const {
   config.lr = config_.lr;
   config.clip_norm = config_.clip_norm;
   config.huber_delta = config_.huber_delta;
-  config.use_plan = use_plan_ ? 1 : 0;
   return config;
 }
 

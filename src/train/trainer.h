@@ -46,11 +46,6 @@ struct TrainConfig {
   /// Cap on train batches per epoch (0 = no cap); keeps bench runtimes
   /// bounded on the largest synthetic networks.
   int64_t max_batches_per_epoch = 0;
-  /// Captured execution plans (ir/plan.h): -1 follows the global gate
-  /// (on unless STWA_NO_PLAN / ir::SetPlanMode(false)), 0 forces eager
-  /// tracing, 1 forces capture+replay. Either setting trains to
-  /// bit-identical weights and metrics.
-  int use_plan = -1;
 };
 
 /// Outcome of a training run.
@@ -92,11 +87,6 @@ class Trainer {
   StepEngineConfig EngineConfig() const;
 
   TrainConfig config_;
-  /// Plan gate resolved once at construction (config override, else the
-  /// global snapshot — ir::SnapshotPlanModes). Fit and Evaluate consult
-  /// only this, so a mid-run SetPlanMode toggle can never split one run
-  /// between planned and eager epochs.
-  bool use_plan_;
   int64_t history_;
   int64_t horizon_;
   data::StandardScaler scaler_;

@@ -1,5 +1,6 @@
 // Tests for the plan-rewrite fusion passes (ir/rewrite.h), the region
-// schedule (ir/regions.h) and region-parallel replay.
+// schedule (ir/regions.h) and region-parallel replay (which a replay takes
+// whenever its thread can dispatch to a multi-thread pool).
 //
 // The load-bearing property is unchanged from ir_test: bit-identity.
 // Fusion must never change a replayed float — fused kernels reuse the
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "runtime/parallel.h"
 #include "serve/checkpoint.h"
 #include "serve/inference_session.h"
+#include "switch_guards.h"
 #include "tensor/ops.h"
 #include "train/trainer.h"
 
@@ -39,11 +42,10 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
   return std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
 }
 
-/// Restores every plan gate to the on-state the test binary assumes.
+/// Restores both plan switches to the on-state the test binary assumes.
 void ResetModes() {
   ir::SetPlanMode(true);
   ir::SetFuseMode(true);
-  ir::SetRegionParMode(true);
 }
 
 // --- Elementwise-chain fuser ----------------------------------------------
@@ -296,23 +298,26 @@ TEST(RewriteStwaTest, RegionParallelReplayIsBitIdenticalAcrossThreads) {
   Tensor x0 = Tensor::Rand(
       {2, d.num_sensors(), s.history, d.num_features()}, rng, -1.5f, 1.5f);
 
-  ir::SetRegionParMode(false);
-  auto serial_plan = CaptureEvalPlan(*model, x0);
-  ir::SetRegionParMode(true);
-  auto par_plan = CaptureEvalPlan(*model, x0);
-  ASSERT_NE(serial_plan, nullptr);
-  ASSERT_NE(par_plan, nullptr);
+  auto plan = CaptureEvalPlan(*model, x0);
+  ASSERT_NE(plan, nullptr);
 
   Tensor x1 = Tensor::Rand(
       {2, d.num_sensors(), s.history, d.num_features()}, rng, -1.5f, 1.5f);
+  // 1 thread: the serial per-step replay is the reference.
   runtime::SetNumThreads(1);
-  Tensor reference = serial_plan->ReplayForward({x1}).Clone();
-  for (int threads : {1, 2, 4}) {
-    runtime::SetNumThreads(threads);
-    Tensor serial = serial_plan->ReplayForward({x1}).Clone();
-    Tensor parallel = par_plan->ReplayForward({x1}).Clone();
-    EXPECT_TRUE(BitIdentical(serial, reference)) << threads << " threads";
-    EXPECT_TRUE(BitIdentical(parallel, reference)) << threads << " threads";
+  EXPECT_FALSE(ir::RegionParModeEnabled());
+  Tensor reference = plan->ReplayForward({x1}).Clone();
+  // 4 threads: the staged region schedule on the pool.
+  runtime::SetNumThreads(4);
+  EXPECT_TRUE(ir::RegionParModeEnabled());
+  Tensor parallel = plan->ReplayForward({x1}).Clone();
+  EXPECT_TRUE(BitIdentical(parallel, reference));
+  {
+    // 4 threads, but a serial-region caller (fleet shard workers): serial.
+    runtime::ScopedSerialRegion serial_region;
+    EXPECT_FALSE(ir::RegionParModeEnabled());
+    Tensor serial = plan->ReplayForward({x1}).Clone();
+    EXPECT_TRUE(BitIdentical(serial, reference));
   }
   runtime::SetNumThreads(0);
 }
@@ -324,10 +329,15 @@ struct FitOutcome {
   std::vector<Tensor> params;
 };
 
-FitOutcome RunFit(const data::TrafficDataset& dataset, bool fuse,
-                  bool region_par, int threads) {
+/// Trains with `threads` pool threads; `serial_region` runs the whole fit
+/// under runtime::ScopedSerialRegion, so replays stay serial at 4 threads.
+FitOutcome RunFit(const data::TrafficDataset& dataset, bool fuse, int threads,
+                  bool serial_region = false) {
   ir::SetFuseMode(fuse);
-  ir::SetRegionParMode(region_par);
+  PlanModeGuard plan_mode(true);
+  runtime::SetNumThreads(threads);
+  std::optional<runtime::ScopedSerialRegion> serial;
+  if (serial_region) serial.emplace();
   baselines::ModelSettings s = RewriteSettings();
   SetGlobalSeed(123);
   auto model = baselines::MakeModel("ST-WA", dataset, s);
@@ -336,8 +346,6 @@ FitOutcome RunFit(const data::TrafficDataset& dataset, bool fuse,
   c.batch_size = 8;
   c.stride = 3;
   c.eval_stride = 4;
-  c.use_plan = 1;
-  c.num_threads = threads;
   train::Trainer trainer(dataset, s.history, s.horizon, c);
   FitOutcome out;
   out.result = trainer.Fit(*model);
@@ -365,14 +373,17 @@ void ExpectSameTraining(const FitOutcome& a, const FitOutcome& b) {
 
 TEST(RewriteTrainingTest, FitIsBitIdenticalFuseOnVsOffAtOneAndFourThreads) {
   data::TrafficDataset d = RewriteDataset();
-  FitOutcome fused1 = RunFit(d, /*fuse=*/true, /*region_par=*/true, 1);
-  FitOutcome plain1 = RunFit(d, /*fuse=*/false, /*region_par=*/false, 1);
-  FitOutcome fused4 = RunFit(d, /*fuse=*/true, /*region_par=*/true, 4);
-  FitOutcome plain4 = RunFit(d, /*fuse=*/false, /*region_par=*/false, 4);
+  FitOutcome fused1 = RunFit(d, /*fuse=*/true, 1);
+  FitOutcome plain1 = RunFit(d, /*fuse=*/false, 1);
+  FitOutcome fused4 = RunFit(d, /*fuse=*/true, 4);
+  FitOutcome plain4 = RunFit(d, /*fuse=*/false, 4);
+  FitOutcome fused4_serial = RunFit(d, /*fuse=*/true, 4,
+                                    /*serial_region=*/true);
   runtime::SetNumThreads(0);
   ExpectSameTraining(plain1, fused1);
   ExpectSameTraining(plain1, plain4);
   ExpectSameTraining(plain1, fused4);
+  ExpectSameTraining(plain1, fused4_serial);
 }
 
 TEST(RewriteServeTest, ForecastsAreBitIdenticalFuseOnVsOff) {
@@ -391,12 +402,10 @@ TEST(RewriteServeTest, ForecastsAreBitIdenticalFuseOnVsOff) {
   const std::string path = "/tmp/stwa_ir_rewrite_test_ckpt.bin";
   serve::SaveServingCheckpoint(*model, info, path);
 
-  // Sessions snapshot the gates at Open; set each mode before its Open.
+  // Sessions snapshot the fuse switch at Open; set it before each Open.
   ir::SetFuseMode(true);
-  ir::SetRegionParMode(true);
   auto fused = serve::InferenceSession::Open(path);
   ir::SetFuseMode(false);
-  ir::SetRegionParMode(false);
   auto plain = serve::InferenceSession::Open(path);
   ResetModes();
   ASSERT_NE(fused, nullptr);
@@ -413,6 +422,11 @@ TEST(RewriteServeTest, ForecastsAreBitIdenticalFuseOnVsOff) {
       Tensor without_fusion = plain->Forecast(window);
       EXPECT_TRUE(BitIdentical(with_fusion, without_fusion))
           << "request " << i << " at " << threads << " threads";
+      if (threads > 1) {
+        runtime::ScopedSerialRegion serial_region;  // serial replay
+        EXPECT_TRUE(BitIdentical(fused->Forecast(window), with_fusion))
+            << "request " << i << " serial region";
+      }
     }
   }
   runtime::SetNumThreads(0);

@@ -28,6 +28,7 @@
 #include "runtime/parallel.h"
 #include "serve/checkpoint.h"
 #include "serve/inference_session.h"
+#include "switch_guards.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
 #include "train/trainer.h"
@@ -242,8 +243,9 @@ struct FitOutcome {
   std::vector<Tensor> params;
 };
 
-FitOutcome RunFit(const data::TrafficDataset& dataset, int use_plan,
+FitOutcome RunFit(const data::TrafficDataset& dataset, bool plan,
                   int threads) {
+  PlanModeGuard plan_mode(plan);
   baselines::ModelSettings s = PlanSettings();
   SetGlobalSeed(123);
   auto model = baselines::MakeModel("ST-WA", dataset, s);
@@ -252,7 +254,6 @@ FitOutcome RunFit(const data::TrafficDataset& dataset, int use_plan,
   c.batch_size = 8;
   c.stride = 3;
   c.eval_stride = 4;
-  c.use_plan = use_plan;
   c.num_threads = threads;
   train::Trainer trainer(dataset, s.history, s.horizon, c);
   FitOutcome out;
@@ -280,8 +281,8 @@ void ExpectSameTraining(const FitOutcome& a, const FitOutcome& b) {
 
 TEST(PlanTrainingTest, FitIsBitIdenticalPlanOnVsOffSingleThread) {
   data::TrafficDataset d = PlanDataset();
-  FitOutcome off = RunFit(d, /*use_plan=*/0, /*threads=*/1);
-  FitOutcome on = RunFit(d, /*use_plan=*/1, /*threads=*/1);
+  FitOutcome off = RunFit(d, /*plan=*/false, /*threads=*/1);
+  FitOutcome on = RunFit(d, /*plan=*/true, /*threads=*/1);
   runtime::SetNumThreads(0);
   EXPECT_EQ(off.result.plan.plans_captured, 0);
   EXPECT_EQ(off.result.plan.replayed_steps, 0);
@@ -294,16 +295,17 @@ TEST(PlanTrainingTest, FitIsBitIdenticalPlanOnVsOffSingleThread) {
 
 TEST(PlanTrainingTest, FitIsBitIdenticalPlanOnVsOffFourThreads) {
   data::TrafficDataset d = PlanDataset();
-  FitOutcome off = RunFit(d, /*use_plan=*/0, /*threads=*/4);
-  FitOutcome on = RunFit(d, /*use_plan=*/1, /*threads=*/4);
+  FitOutcome off = RunFit(d, /*plan=*/false, /*threads=*/4);
+  FitOutcome on = RunFit(d, /*plan=*/true, /*threads=*/4);
   // And the runtime's thread-count determinism must hold through replays.
-  FitOutcome on1 = RunFit(d, /*use_plan=*/1, /*threads=*/1);
+  FitOutcome on1 = RunFit(d, /*plan=*/true, /*threads=*/1);
   runtime::SetNumThreads(0);
   ExpectSameTraining(off, on);
   ExpectSameTraining(on, on1);
 }
 
 TEST(PlanTrainingTest, PlanCacheCapturesPerBatchShape) {
+  PlanModeGuard plan_mode(true);
   data::TrafficDataset d = PlanDataset();
   baselines::ModelSettings s = PlanSettings();
   train::TrainConfig c;
@@ -311,7 +313,6 @@ TEST(PlanTrainingTest, PlanCacheCapturesPerBatchShape) {
   c.batch_size = 8;
   c.stride = 3;
   c.eval_stride = 4;
-  c.use_plan = 1;
   c.num_threads = 1;
   train::Trainer trainer(d, s.history, s.horizon, c);
   auto batches =

@@ -20,6 +20,7 @@
 #include "runtime/parallel.h"
 #include "serve/checkpoint.h"
 #include "serve/inference_session.h"
+#include "switch_guards.h"
 #include "tensor/ops.h"
 #include "train/trainer.h"
 
@@ -370,7 +371,7 @@ TEST(StepEngineTest, FitMatchesManualEngineLoop) {
   config.batch_size = 8;
   config.stride = 4;
   config.eval_stride = 4;
-  config.use_plan = 1;
+  PlanModeGuard plan_mode(true);  // both arms replay plans
 
   // Arm 1: the refactored Trainer::Fit.
   auto model_fit =
@@ -388,7 +389,6 @@ TEST(StepEngineTest, FitMatchesManualEngineLoop) {
   engine_config.lr = config.lr;
   engine_config.clip_norm = config.clip_norm;
   engine_config.huber_delta = config.huber_delta;
-  engine_config.use_plan = 1;
   StepEngine engine(*model_manual, engine_config);
   Rng shuffle_rng(config.seed);
   data::Batch batch;

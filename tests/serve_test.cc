@@ -1,6 +1,6 @@
 // Tests for the serving subsystem: latency histogram, streaming state,
 // serving checkpoints, inference sessions, micro-batching determinism and
-// overload shedding, and the line protocol.
+// overload shedding, the line protocol and its socket transport.
 
 #include <cfloat>
 #include <chrono>
@@ -11,11 +11,15 @@
 #include <fstream>
 #include <future>
 #include <limits>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "autograd/no_grad.h"
 #include "baselines/registry.h"
@@ -26,6 +30,7 @@
 #include "serve/batching_queue.h"
 #include "serve/checkpoint.h"
 #include "serve/inference_session.h"
+#include "serve/line_transport.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/stream_state.h"
@@ -1051,6 +1056,48 @@ TEST(ServingCheckpointTest, PeekFormatVersionRejectsNonCheckpoints) {
   EXPECT_THROW(nn::PeekCheckpointFormatVersion(TempPath("stwa_missing.bin")),
                Error);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Line transport
+
+TEST(LineTransportTest, ConnectionAnswersEveryLineUntilPeerEof) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string request = "a\n\nb\n";
+  ASSERT_EQ(write(fds[1], request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  shutdown(fds[1], SHUT_WR);
+  ServeConnection(fds[0], [](const std::string& line, bool*)
+                              -> std::optional<std::string> {
+    if (line.empty()) return std::nullopt;
+    return "got " + line;
+  });
+  char reply[64] = {};
+  const ssize_t n = read(fds[1], reply, sizeof(reply) - 1);
+  EXPECT_EQ(std::string(reply, n > 0 ? static_cast<size_t>(n) : 0),
+            "got a\ngot b\n");
+  close(fds[1]);
+}
+
+TEST(LineTransportTest, PeerHangupEndsConnectionWithoutSigpipe) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int peer = fds[1];
+  const std::string request = "ping\nping\n";
+  ASSERT_EQ(write(peer, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  int handled = 0;
+  // The client hangs up before reading its first response: the response
+  // is sent to a closed peer. Without MSG_NOSIGNAL that raises SIGPIPE and
+  // kills this test process.
+  ServeConnection(fds[0], [&](const std::string& line, bool*)
+                              -> std::optional<std::string> {
+    if (++handled == 1) close(peer);
+    return "pong " + line;
+  });
+  // The failed send ended the connection before the second line.
+  EXPECT_EQ(handled, 1);
 }
 
 }  // namespace

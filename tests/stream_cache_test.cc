@@ -25,6 +25,7 @@
 #include "serve/inference_session.h"
 #include "serve/server.h"
 #include "serve/stream_cache.h"
+#include "switch_guards.h"
 #include "tensor/ops.h"
 
 namespace stwa {
@@ -218,6 +219,7 @@ TEST(StreamCacheTest, InvalidateFlushesAndRetags) {
 // ForecastStream byte identity
 
 TEST(ForecastStreamTest, ShiftPathMatchesColdForecastBitExactly) {
+  PlanModeGuard plan_mode(true);  // cache hits need a plan
   for (const std::string name : {"ST-WA", "S-WA"}) {
     Fixture f = MakeFixture("stwa_sc_shift.bin", name);
     auto session = InferenceSession::Open(f.path);
@@ -239,6 +241,7 @@ TEST(ForecastStreamTest, ShiftPathMatchesColdForecastBitExactly) {
 }
 
 TEST(ForecastStreamTest, ShiftAnswerMatchesHandRecomputedReference) {
+  PlanModeGuard plan_mode(true);  // cache hits need a plan
   // The strictest form of the shift check: a dedicated session serves
   // windows [t, t+1] through the stream path while a fresh session
   // recomputes window t+1 from scratch — the shift-hit answer must be
@@ -258,6 +261,7 @@ TEST(ForecastStreamTest, ShiftAnswerMatchesHandRecomputedReference) {
 }
 
 TEST(ForecastStreamTest, InterleavedStreamsStayByteExact) {
+  PlanModeGuard plan_mode(true);  // cache hits need a plan
   // Regression: harvested frontier segments used to alias the plan's
   // feed buffer, which BindFeeds rewrites in place — interleaving a
   // second stream between one stream's harvest and its next shift served
@@ -281,6 +285,7 @@ TEST(ForecastStreamTest, InterleavedStreamsStayByteExact) {
 }
 
 TEST(ForecastStreamTest, OutputHitServesRepeatWithoutRecompute) {
+  PlanModeGuard plan_mode(true);  // cache hits need a plan
   Fixture f = MakeFixture("stwa_sc_outputhit.bin", "ST-WA");
   auto session = InferenceSession::Open(f.path);
   StreamCache cache(1);
@@ -296,6 +301,7 @@ TEST(ForecastStreamTest, OutputHitServesRepeatWithoutRecompute) {
 }
 
 TEST(ForecastStreamTest, RewoundWindowDegradesToMissNotWrongAnswer) {
+  PlanModeGuard plan_mode(true);  // cache hits need a plan
   // Anchor says "one ahead" but the bytes do not overlap: the memcmp
   // gate must reject the shift and recompute.
   Fixture f = MakeFixture("stwa_sc_rewind.bin", "ST-WA");
@@ -319,20 +325,7 @@ TEST(ForecastStreamTest, RewoundWindowDegradesToMissNotWrongAnswer) {
 // Server wiring: cache on/off bit identity across threads, batching and
 // precision tiers
 
-// Pins the global stream-cache gate for one test and restores the
-// pre-test value even when an assertion bails out early — cache-behavior
-// tests stay meaningful under the CI STWA_NO_STREAM_CACHE=1 leg, and the
-// gate test cannot leak its override into later tests.
-struct CacheModeGuard {
-  explicit CacheModeGuard(bool enabled) : saved(StreamCacheEnabled()) {
-    SetStreamCacheMode(enabled);
-  }
-  ~CacheModeGuard() { SetStreamCacheMode(saved); }
-  bool saved;
-};
-
 TEST(ServerStreamCacheTest, OnOffBitIdentityAcrossWorkersBatchingTiers) {
-  CacheModeGuard guard(true);
   Fixture f = MakeFixture("stwa_sc_server.bin", "ST-WA");
   const int64_t h = f.settings.history;
   const int64_t streams = 3;
@@ -347,11 +340,11 @@ TEST(ServerStreamCacheTest, OnOffBitIdentityAcrossWorkersBatchingTiers) {
     for (const int workers : {1, 4}) {
       for (const int64_t max_batch : {int64_t{1}, int64_t{8}}) {
         for (const bool cache_on : {false, true}) {
+          CacheModeGuard cache_mode(cache_on);  // read at construction
           ServerOptions opts;
           opts.workers = workers;
           opts.batching.max_batch = max_batch;
           opts.session.precision = tier;
-          opts.stream_cache = cache_on;
           opts.default_deadline = std::chrono::seconds(120);
           Server server(f.path, opts);
           for (int64_t t = 0; t < steps; ++t) {
@@ -389,6 +382,7 @@ TEST(ServerStreamCacheTest, OnOffBitIdentityAcrossWorkersBatchingTiers) {
 }
 
 TEST(ServerStreamCacheTest, SingletonStreamSubmitsHitTheCache) {
+  PlanModeGuard plan_mode(true);  // cache hits need a plan
   CacheModeGuard guard(true);
   Fixture f = MakeFixture("stwa_sc_hits.bin", "ST-WA");
   const int64_t h = f.settings.history;
@@ -454,7 +448,7 @@ TEST(ServerStreamCacheTest, DisabledModeRunsCacheFree) {
   {
     ServerOptions opts;
     opts.default_deadline = std::chrono::seconds(120);
-    Server server(f.path, opts);  // stream_cache=true, but the gate wins
+    Server server(f.path, opts);  // no injected cache, switch off
     EXPECT_EQ(server.stream_cache(), nullptr);
     Tensor w = ops::Slice(f.dataset.values, 1, 3, f.settings.history);
     Response resp = server.Submit(w, /*stream_id=*/0,
@@ -470,10 +464,42 @@ TEST(ServerStreamCacheTest, DisabledModeRunsCacheFree) {
   std::remove(f.path.c_str());
 }
 
+TEST(ServerStreamCacheTest, PlanOffServesColdBytesThroughCachingServer) {
+  Fixture f = MakeFixture("stwa_sc_noplan.bin", "ST-WA");
+  const int64_t h = f.settings.history;
+  auto reference = InferenceSession::Open(f.path);  // plan-on cold path
+  PlanModeGuard plan_mode(false);
+  CacheModeGuard cache_mode(true);
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.batching.max_batch = 1;
+  opts.default_deadline = std::chrono::seconds(120);
+  Server server(f.path, opts);
+  ASSERT_NE(server.stream_cache(), nullptr);
+  for (int64_t t = 0; t < 6; ++t) {
+    // Each window twice: a planned session would serve the repeat as an
+    // output hit and the next window as a shift hit.
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      Tensor w = ops::Slice(f.dataset.values, 1, t, h);
+      Response resp = server.Submit(w, /*stream_id=*/0, t + h - 1).get();
+      ASSERT_TRUE(resp.ok);
+      ASSERT_TRUE(SameBytes(resp.forecast, reference->Forecast(w)))
+          << "t=" << t << " repeat=" << repeat;
+    }
+  }
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.stream_cache.shift_hits, 0);
+  EXPECT_EQ(stats.stream_cache.output_hits, 0);
+  EXPECT_EQ(stats.stream_cache.stale_rejected, 0);
+  EXPECT_EQ(stats.stream_cache.bypass, 12);
+  std::remove(f.path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Invalidation: hot reload and online publish
 
 TEST(StreamCacheInvalidationTest, ReloadWithNewWeightsNeverServesStale) {
+  PlanModeGuard plan_mode(true);  // cache hits need a plan
   CacheModeGuard guard(true);
   Fixture f = MakeFixture("stwa_sc_reload.bin", "ST-WA", /*weight_seed=*/3);
   fleet::FleetProfileConfig cfg;
@@ -537,6 +563,7 @@ TEST(StreamCacheInvalidationTest, ReloadWithNewWeightsNeverServesStale) {
 }
 
 TEST(StreamCacheInvalidationTest, OnlinePublishRideReloadAndFlushes) {
+  PlanModeGuard plan_mode(true);  // cache hits need a plan
   CacheModeGuard guard(true);
   Fixture f = MakeFixture("stwa_sc_publish.bin", "ST-WA");
   fleet::FleetProfileConfig cfg;

@@ -16,25 +16,19 @@
 //   profile cityB ckpt=demo/cityB.bin tiles=4 shards=2 precision=bf16
 //   quota free rate=100 burst=200
 
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include "data/traffic_generator.h"
 #include "demo_train.h"
 #include "fleet/config.h"
 #include "fleet/protocol.h"
 #include "serve/checkpoint.h"
+#include "serve/line_transport.h"
 
 namespace stwa {
 namespace {
@@ -107,79 +101,6 @@ int TrainDemo(const Args& args) {
   return 0;
 }
 
-void ServeStdio(fleet::FleetNode& node) {
-  fleet::FleetLineSession session(node);
-  std::string line;
-  bool quit = false;
-  while (!quit && std::getline(std::cin, line)) {
-    auto resp = session.Handle(line, &quit);
-    if (resp) std::cout << *resp << "\n" << std::flush;
-  }
-}
-
-void ServeConnection(int fd, fleet::FleetNode& node) {
-  fleet::FleetLineSession session(node);
-  std::string buffer;
-  char chunk[4096];
-  bool quit = false;
-  while (!quit) {
-    const ssize_t n = read(fd, chunk, sizeof(chunk));
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t pos;
-    while (!quit && (pos = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      auto resp = session.Handle(line, &quit);
-      if (resp) {
-        std::string out = *resp + "\n";
-        size_t written = 0;
-        while (written < out.size()) {
-          const ssize_t w =
-              write(fd, out.data() + written, out.size() - written);
-          if (w <= 0) {
-            quit = true;
-            break;
-          }
-          written += static_cast<size_t>(w);
-        }
-      }
-    }
-  }
-  close(fd);
-}
-
-int ServeTcp(fleet::FleetNode& node, int port) {
-  const int listener = socket(AF_INET, SOCK_STREAM, 0);
-  if (listener < 0) {
-    std::cerr << "socket() failed: " << std::strerror(errno) << "\n";
-    return 1;
-  }
-  const int one = 1;
-  setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      listen(listener, 16) < 0) {
-    std::cerr << "bind/listen on port " << port
-              << " failed: " << std::strerror(errno) << "\n";
-    close(listener);
-    return 1;
-  }
-  std::cerr << "listening on 127.0.0.1:" << port << "\n";
-  std::vector<std::thread> connections;
-  for (;;) {
-    const int fd = accept(listener, nullptr, nullptr);
-    if (fd < 0) break;
-    connections.emplace_back([fd, &node] { ServeConnection(fd, node); });
-  }
-  for (std::thread& t : connections) t.join();
-  close(listener);
-  return 0;
-}
-
 int Serve(const Args& args) {
   const fleet::FleetConfig config = fleet::LoadFleetConfig(args.config);
   fleet::FleetNode node(config);
@@ -193,8 +114,14 @@ int Serve(const Args& args) {
               << profile->config().workers << " worker(s)/shard, precision "
               << simd::PrecisionName(profile->config().precision) << "\n";
   }
-  if (args.port > 0) return ServeTcp(node, args.port);
-  ServeStdio(node);
+  auto new_session = [&node]() -> serve::LineHandler {
+    return [session = std::make_shared<fleet::FleetLineSession>(node)](
+               const std::string& line, bool* quit) {
+      return session->Handle(line, quit);
+    };
+  };
+  if (args.port > 0) return serve::ServeTcp(args.port, new_session);
+  serve::ServeLines(std::cin, std::cout, new_session());
   return 0;
 }
 

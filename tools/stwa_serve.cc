@@ -14,27 +14,16 @@
 //       tier every worker session serves at (default: STWA_PRECISION,
 //       falling back to fp32); activations stay fp32.
 
-#include <atomic>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <optional>
-#include <sstream>
+#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "data/traffic_generator.h"
 #include "demo_train.h"
+#include "serve/line_transport.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
-#include "serve/stream_state.h"
 #include "simd/lowp.h"
 
 namespace stwa {
@@ -116,79 +105,6 @@ int TrainDemo(const Args& args) {
   return 0;
 }
 
-void ServeStdio(serve::Server& server) {
-  serve::LineSession session(server);
-  std::string line;
-  bool quit = false;
-  while (!quit && std::getline(std::cin, line)) {
-    auto resp = session.Handle(line, &quit);
-    if (resp) std::cout << *resp << "\n" << std::flush;
-  }
-}
-
-void ServeConnection(int fd, serve::Server& server) {
-  serve::LineSession session(server);
-  std::string buffer;
-  char chunk[4096];
-  bool quit = false;
-  while (!quit) {
-    const ssize_t n = read(fd, chunk, sizeof(chunk));
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t pos;
-    while (!quit && (pos = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      auto resp = session.Handle(line, &quit);
-      if (resp) {
-        std::string out = *resp + "\n";
-        size_t written = 0;
-        while (written < out.size()) {
-          const ssize_t w =
-              write(fd, out.data() + written, out.size() - written);
-          if (w <= 0) {
-            quit = true;
-            break;
-          }
-          written += static_cast<size_t>(w);
-        }
-      }
-    }
-  }
-  close(fd);
-}
-
-int ServeTcp(serve::Server& server, int port) {
-  const int listener = socket(AF_INET, SOCK_STREAM, 0);
-  if (listener < 0) {
-    std::cerr << "socket() failed: " << std::strerror(errno) << "\n";
-    return 1;
-  }
-  const int one = 1;
-  setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      listen(listener, 16) < 0) {
-    std::cerr << "bind/listen on port " << port
-              << " failed: " << std::strerror(errno) << "\n";
-    close(listener);
-    return 1;
-  }
-  std::cerr << "listening on 127.0.0.1:" << port << "\n";
-  std::vector<std::thread> connections;
-  for (;;) {
-    const int fd = accept(listener, nullptr, nullptr);
-    if (fd < 0) break;
-    connections.emplace_back([fd, &server] { ServeConnection(fd, server); });
-  }
-  for (std::thread& t : connections) t.join();
-  close(listener);
-  return 0;
-}
-
 int Serve(const Args& args) {
   serve::ServerOptions opts;
   opts.workers = args.workers;
@@ -206,8 +122,14 @@ int Serve(const Args& args) {
             << args.workers << " worker(s), max batch " << args.max_batch
             << ", max delay " << args.max_delay_us << "us, precision "
             << simd::PrecisionName(opts.session.precision) << "\n";
-  if (args.port > 0) return ServeTcp(server, args.port);
-  ServeStdio(server);
+  auto new_session = [&server]() -> serve::LineHandler {
+    return [session = std::make_shared<serve::LineSession>(server)](
+               const std::string& line, bool* quit) {
+      return session->Handle(line, quit);
+    };
+  };
+  if (args.port > 0) return serve::ServeTcp(args.port, new_session);
+  serve::ServeLines(std::cin, std::cout, new_session());
   return 0;
 }
 
