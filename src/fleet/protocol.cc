@@ -16,11 +16,9 @@ FleetNode::FleetNode(const FleetConfig& config)
   }
 }
 
-void FleetNode::RecordForecast(const std::string& tenant,
-                               const std::string& profile, double micros) {
+void FleetNode::RecordForecast(const std::string& tenant, double micros) {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   per_tenant_.Record(tenant, micros);
-  per_profile_.Record(profile, micros);
 }
 
 void FleetNode::CountProtocolError() {
@@ -35,7 +33,6 @@ FleetNodeStats FleetNode::Stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   stats.protocol_errors = protocol_errors_;
   stats.per_tenant = per_tenant_;
-  stats.per_profile = per_profile_;
   return stats;
 }
 
@@ -189,7 +186,7 @@ std::optional<std::string> FleetLineSession::Handle(const std::string& line,
     Stopwatch sw;
     serve::Response resp = profile->ForecastTile(tile).get();
     if (resp.ok) {
-      node_.RecordForecast(tenant_, head, sw.ElapsedSeconds() * 1e6);
+      node_.RecordForecast(tenant_, sw.ElapsedSeconds() * 1e6);
     }
     const serve::ServingInfo info = profile->Info();
     return serve::FormatForecastResponse(resp, info.num_sensors,

@@ -1,14 +1,16 @@
-// Fleet wire protocol: the serve line protocol with a profile routing key
-// in front, plus node-level commands.
+// The serving line protocol, spoken by stwa_fleet over stdin/stdout or
+// TCP. One request per line, whitespace-separated; blank lines and lines
+// starting with '#' are skipped without a response.
 //
 // Profile-scoped commands (first token routes to a registry profile):
 //   <profile> obs <tile> <v...>     push one timestep for every sensor of
 //                                   a tile (num_sensors*features values)
+//                                   -> "ok"
 //   <profile> obs1 <g> <v...>       push one observation for global
-//                                   sensor g (features values)
-//   <profile> forecast <tile>       -> "forecast ok=..." (serve format)
+//                                   sensor g (features values) -> "ok"
+//   <profile> forecast <tile>       -> "forecast ok=..." (serve/protocol.h)
 //                                   or "throttled tenant=... profile=..."
-//   <profile> stats                 -> "stats ..." (serve format) plus
+//   <profile> stats                 -> "stats ..." (serve/protocol.h) plus
 //                                   generation/shard fields
 // Node commands:
 //   profiles                        -> one line listing every profile
@@ -17,10 +19,14 @@
 //   stats                           -> "fleetstats ..." node counters
 //   quit                            -> "bye"
 //
-// Malformed lines get an "err ..." response and are counted — in the
-// session (per-connection stats) and in the node (fleet-wide) — never a
-// worker crash. Throttled forecasts have their own first token so
-// token-oriented clients can split admits from rejections.
+// Malformed lines — unknown verbs, out-of-range tiles or sensors, wrong
+// value counts, unparsable or non-finite numbers — get an "err ..."
+// response and are counted in the session and in the node (fleetstats
+// protocol_errors=); they never reach a shard worker and never move a
+// tile's window. Throttled forecasts have their own first token so
+// token-oriented clients can split admits from rejections. A client gets
+// a private stream by using its own tile; tile windows outlive
+// connections and hot reloads.
 
 #ifndef STWA_FLEET_PROTOCOL_H_
 #define STWA_FLEET_PROTOCOL_H_
@@ -43,9 +49,8 @@ struct FleetNodeStats {
   int64_t admitted = 0;
   int64_t throttled = 0;
   int64_t protocol_errors = 0;
-  /// Completed-forecast latency keyed by tenant, and by profile.
+  /// Completed-forecast latency keyed by tenant.
   metrics::LabeledHistograms per_tenant;
-  metrics::LabeledHistograms per_profile;
 };
 
 /// One fleet serving node: the profile registry plus admission control
@@ -61,8 +66,7 @@ class FleetNode {
   AdmissionController& admission() { return admission_; }
 
   /// Records one completed forecast's end-to-end latency.
-  void RecordForecast(const std::string& tenant, const std::string& profile,
-                      double micros);
+  void RecordForecast(const std::string& tenant, double micros);
 
   /// Counts one malformed client line.
   void CountProtocolError();
@@ -74,7 +78,6 @@ class FleetNode {
   AdmissionController admission_;
   mutable std::mutex stats_mutex_;
   metrics::LabeledHistograms per_tenant_;
-  metrics::LabeledHistograms per_profile_;
   int64_t protocol_errors_ = 0;
 };
 

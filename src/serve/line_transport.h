@@ -1,8 +1,8 @@
-// Line transports shared by the serving CLIs (stwa_serve, stwa_fleet):
-// stdin/stdout and loopback TCP, both driving a per-connection line
-// handler. The transports know nothing about the protocol — a handler
-// (usually wrapping a serve::LineSession or fleet::FleetLineSession) maps
-// each request line to an optional response line.
+// Line transports of the serving CLI (stwa_fleet): stdin/stdout and
+// loopback TCP, both driving a per-connection line handler. The
+// transports know nothing about the protocol — a handler (in stwa_fleet,
+// a fleet::FleetLineSession) maps each request line to an optional
+// response line.
 
 #ifndef STWA_SERVE_LINE_TRANSPORT_H_
 #define STWA_SERVE_LINE_TRANSPORT_H_

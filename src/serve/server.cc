@@ -27,11 +27,9 @@ void ServerStats::Merge(const ServerStats& other) {
   completed += other.completed;
   shed += other.shed;
   batches += other.batches;
-  protocol_errors += other.protocol_errors;
   mean_batch =
       batches > 0 ? batch_requests / static_cast<double>(batches) : 0.0;
   latency.Merge(other.latency);
-  per_worker.Merge(other.per_worker);
   stream_cache.Merge(other.stream_cache);
 }
 
@@ -44,23 +42,6 @@ Server::Server(const std::string& checkpoint_path, ServerOptions options)
                                              options_.session);
     workers_.push_back(std::move(worker));
   }
-  Start(options_.workers);
-}
-
-Server::Server(const std::string& checkpoint_path,
-               const data::TrafficDataset& dataset, ServerOptions options)
-    : options_(options), queue_(options.batching) {
-  STWA_CHECK(options_.workers >= 1, "need at least one worker");
-  for (int i = 0; i < options_.workers; ++i) {
-    auto worker = std::make_unique<Worker>();
-    worker->session = InferenceSession::Open(checkpoint_path, dataset,
-                                             options_.session);
-    workers_.push_back(std::move(worker));
-  }
-  Start(options_.workers);
-}
-
-void Server::Start(int workers) {
   // Resolve the stream cache before any worker can pop a request.
   if (options_.cache) {
     cache_ = options_.cache;
@@ -68,8 +49,8 @@ void Server::Start(int workers) {
     cache_ = std::make_shared<StreamCache>(options_.generation);
     cache_owner_ = true;
   }
-  for (int i = 0; i < workers; ++i) {
-    Worker& w = *workers_[i];
+  for (auto& worker : workers_) {
+    Worker& w = *worker;
     w.thread = std::thread([this, &w] { WorkerLoop(w); });
   }
 }
@@ -222,14 +203,12 @@ ServerStats Server::Stats() const {
   ServerStats stats;
   stats.submitted = queue_.submitted();
   stats.shed = queue_.shed();
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    const auto& worker = workers_[i];
+  for (const auto& worker : workers_) {
     std::lock_guard<std::mutex> lock(worker->stats_mutex);
     stats.completed += worker->completed;
     stats.batches += worker->batches;
     stats.mean_batch += static_cast<double>(worker->batch_requests);
     stats.latency.Merge(worker->latency);
-    stats.per_worker.Get("w" + std::to_string(i)).Merge(worker->latency);
   }
   stats.mean_batch =
       stats.batches > 0 ? stats.mean_batch / static_cast<double>(

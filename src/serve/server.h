@@ -65,16 +65,10 @@ struct ServerStats {
   int64_t completed = 0;
   int64_t shed = 0;
   int64_t batches = 0;
-  /// Malformed client lines rejected before reaching a worker (counted by
-  /// the transport's LineSession, not by the server core).
-  int64_t protocol_errors = 0;
   /// Mean executed batch size (0 when no batch ran yet).
   double mean_batch = 0.0;
   /// End-to-end latency (submit -> response) of completed requests.
   metrics::LatencyHistogram latency;
-  /// The same completions keyed per worker ("w0", "w1", ...) — per-worker
-  /// percentiles from one mergeable struct.
-  metrics::LabeledHistograms per_worker;
   /// Stream-cache counters (zeros when the cache is off or owned
   /// elsewhere — the owner folds them exactly once).
   StreamCacheStats stream_cache;
@@ -91,10 +85,6 @@ class Server {
   /// Opens `workers` sessions from a metadata-only checkpoint (see
   /// InferenceSession::Open) and starts the worker threads.
   Server(const std::string& checkpoint_path, ServerOptions options);
-
-  /// Same, for models that need their training dataset to rebuild.
-  Server(const std::string& checkpoint_path,
-         const data::TrafficDataset& dataset, ServerOptions options);
 
   /// Stops and joins the workers; pending requests are shed.
   ~Server();
@@ -140,7 +130,6 @@ class Server {
     int64_t batch_requests = 0;
   };
 
-  void Start(int workers);
   void WorkerLoop(Worker& worker);
 
   ServerOptions options_;

@@ -542,6 +542,8 @@ TEST(FleetLineSessionTest, RoutesProfilesAndCountsMalformedLines) {
       "cityX obs 0 1 2 3",          // needs N*F = 4 values
       "cityX obs 0 1 2 three 4",
       "cityX obs1 999 1",
+      "cityX obs1 -1 1",            // negative sensor
+      "cityX obs1 0 1 2",           // needs F = 1 value
       "cityX forecast 99",
       "tenant",
   };
@@ -586,10 +588,16 @@ TEST(FleetLineSessionTest, RoutesProfilesAndCountsMalformedLines) {
   EXPECT_EQ(pstats->rfind("stats ", 0), 0u);
   EXPECT_NE(pstats->find(" gen=1"), std::string::npos);
   EXPECT_NE(pstats->find(" s0.completed=1"), std::string::npos);
+  // Rejected lines never reach a profile: they are counted once, node-wide.
+  EXPECT_EQ(pstats->find("protocol_errors="), std::string::npos) << *pstats;
 
   auto nstats = session.Handle("stats", &quit);
   ASSERT_TRUE(nstats.has_value());
   EXPECT_EQ(nstats->rfind("fleetstats ", 0), 0u);
+  EXPECT_NE(nstats->find(" protocol_errors=" + std::to_string(bad.size()) +
+                         " "),
+            std::string::npos)
+      << *nstats;
   EXPECT_NE(nstats->find("t.default.count=1"), std::string::npos);
 
   EXPECT_FALSE(quit);

@@ -207,7 +207,7 @@ Fixture MakeFixture(const std::string& file) {
 }
 
 TEST(ServingCheckpointTest, InfoRoundTrips) {
-  Fixture f = MakeFixture("stwa_serve_info.bin");
+  Fixture f = MakeFixture("serve_test_info.bin");
   ServingInfo got = ReadServingInfo(f.path);
   EXPECT_EQ(got.model, "ST-WA");
   EXPECT_EQ(got.num_sensors, f.info.num_sensors);
@@ -224,7 +224,7 @@ TEST(ServingCheckpointTest, InfoRoundTrips) {
 }
 
 TEST(ServingCheckpointTest, PlainParameterCheckpointRejected) {
-  Fixture f = MakeFixture("stwa_serve_plain.bin");
+  Fixture f = MakeFixture("serve_test_plain.bin");
   // Re-save without serving metadata.
   nn::SaveParameters(*f.model, f.path);
   EXPECT_THROW(ReadServingInfo(f.path), Error);
@@ -233,7 +233,7 @@ TEST(ServingCheckpointTest, PlainParameterCheckpointRejected) {
 }
 
 TEST(InferenceSessionTest, ForecastMatchesManualPipelineBitExactly) {
-  Fixture f = MakeFixture("stwa_serve_manual.bin");
+  Fixture f = MakeFixture("serve_test_manual.bin");
   auto session = InferenceSession::Open(f.path);
   Tensor window =
       ops::Slice(f.dataset.values, 1, 5, f.settings.history);  // [N, H, F]
@@ -257,7 +257,7 @@ TEST(InferenceSessionTest, ForecastMatchesManualPipelineBitExactly) {
 }
 
 TEST(InferenceSessionTest, BatchedForecastIsBitIdenticalPerSample) {
-  Fixture f = MakeFixture("stwa_serve_batch.bin");
+  Fixture f = MakeFixture("serve_test_batch.bin");
   auto session = InferenceSession::Open(f.path);
   const int64_t n = f.info.num_sensors, h = f.settings.history;
   Tensor w0 = ops::Slice(f.dataset.values, 1, 0, h);
@@ -283,7 +283,7 @@ TEST(InferenceSessionTest, BatchedForecastIsBitIdenticalPerSample) {
 }
 
 TEST(InferenceSessionTest, TwoSessionsAgreeBitExactly) {
-  Fixture f = MakeFixture("stwa_serve_two.bin");
+  Fixture f = MakeFixture("serve_test_two.bin");
   auto s1 = InferenceSession::Open(f.path);
   auto s2 = InferenceSession::Open(f.path);
   Tensor window = ops::Slice(f.dataset.values, 1, 3, f.settings.history);
@@ -299,7 +299,7 @@ TEST(InferenceSessionTest, TwoSessionsAgreeBitExactly) {
 // Reduced-precision sessions
 
 TEST(PrecisionSessionTest, TiersAreDeterministicAndCloseToFp32) {
-  Fixture f = MakeFixture("stwa_serve_prec.bin");
+  Fixture f = MakeFixture("serve_test_prec.bin");
   Tensor window = ops::Slice(f.dataset.values, 1, 4, f.settings.history);
   SessionConfig fp32_cfg;
   fp32_cfg.precision = simd::Precision::kFp32;
@@ -340,12 +340,12 @@ TEST(PrecisionSessionTest, V2CheckpointWithoutScalesServesIdentically) {
   // session must recompute them from the fp32 weights and serve
   // bit-identically to a session on the v3 file (the baked scales are
   // the same Int8ChannelScales formula, %.9g round-tripped).
-  Fixture f = MakeFixture("stwa_serve_prec_v2.bin");
+  Fixture f = MakeFixture("serve_test_prec_v2.bin");
   ServingInfo v3_info = ReadServingInfo(f.path);
   EXPECT_FALSE(v3_info.int8_scales.empty())
       << "v3 serving checkpoints should bake int8 scales";
 
-  const std::string v2_path = TempPath("stwa_serve_prec_v2_old.bin");
+  const std::string v2_path = TempPath("serve_test_prec_v2_old.bin");
   // MakeServingMeta carries everything *except* the scale entries, which
   // SaveServingCheckpoint adds on top — exactly a v2 writer's output.
   nn::SaveParameters(*f.model, v2_path, MakeServingMeta(f.info));
@@ -376,7 +376,7 @@ TEST(PrecisionSessionTest, V2CheckpointWithoutScalesServesIdentically) {
 }
 
 TEST(PrecisionSessionTest, ServerHonoursSessionPrecision) {
-  Fixture f = MakeFixture("stwa_serve_prec_srv.bin");
+  Fixture f = MakeFixture("serve_test_prec_srv.bin");
   Tensor window = ops::Slice(f.dataset.values, 1, 0, f.settings.history);
   SessionConfig cfg;
   cfg.precision = simd::Precision::kBf16;
@@ -586,7 +586,7 @@ TEST(BatchingQueueTest, SubmitAfterShutdownIsShed) {
 // Server: batching determinism and overload behaviour
 
 TEST(ServerTest, ForecastsBitIdenticalAcrossWorkerAndBatchConfigs) {
-  Fixture f = MakeFixture("stwa_serve_server.bin");
+  Fixture f = MakeFixture("serve_test_server.bin");
   const int64_t h = f.settings.history;
   std::vector<Tensor> windows;
   for (int64_t t = 0; t < 6; ++t) {
@@ -634,7 +634,7 @@ TEST(ServerTest, ForecastsBitIdenticalAcrossWorkerAndBatchConfigs) {
 }
 
 TEST(ServerTest, ImpossibleDeadlinesAreShedWithDegradedFlag) {
-  Fixture f = MakeFixture("stwa_serve_overload.bin");
+  Fixture f = MakeFixture("serve_test_overload.bin");
   ServerOptions opts;
   opts.workers = 1;
   opts.batching.max_batch = 1;
@@ -660,7 +660,7 @@ TEST(ServerTest, ImpossibleDeadlinesAreShedWithDegradedFlag) {
 }
 
 TEST(ServerTest, RejectsWrongWindowShape) {
-  Fixture f = MakeFixture("stwa_serve_shape.bin");
+  Fixture f = MakeFixture("serve_test_shape.bin");
   ServerOptions opts;
   Server server(f.path, opts);
   EXPECT_THROW(server.Submit(Tensor(Shape{1, 2, 3})), Error);
@@ -669,34 +669,6 @@ TEST(ServerTest, RejectsWrongWindowShape) {
 
 // ---------------------------------------------------------------------------
 // Protocol
-
-TEST(ProtocolTest, ParsesObservations) {
-  Command c = ParseCommand("obs 1.5 2 3");
-  EXPECT_EQ(c.kind, Command::Kind::kObs);
-  ASSERT_EQ(c.values.size(), 3u);
-  EXPECT_FLOAT_EQ(c.values[0], 1.5f);
-
-  Command s = ParseCommand("obs1 2 7.25");
-  EXPECT_EQ(s.kind, Command::Kind::kObsSensor);
-  EXPECT_EQ(s.sensor, 2);
-  ASSERT_EQ(s.values.size(), 1u);
-  EXPECT_FLOAT_EQ(s.values[0], 7.25f);
-}
-
-TEST(ProtocolTest, ParsesControlAndSkipsCommentsAndBlanks) {
-  EXPECT_EQ(ParseCommand("forecast").kind, Command::Kind::kForecast);
-  EXPECT_EQ(ParseCommand("stats").kind, Command::Kind::kStats);
-  EXPECT_EQ(ParseCommand("quit").kind, Command::Kind::kQuit);
-  Command blank = ParseCommand("   ");
-  EXPECT_EQ(blank.kind, Command::Kind::kInvalid);
-  EXPECT_TRUE(blank.error.empty());
-  Command comment = ParseCommand("# hello");
-  EXPECT_EQ(comment.kind, Command::Kind::kInvalid);
-  EXPECT_TRUE(comment.error.empty());
-  Command bad = ParseCommand("obs 1 two 3");
-  EXPECT_EQ(bad.kind, Command::Kind::kInvalid);
-  EXPECT_FALSE(bad.error.empty());
-}
 
 TEST(ProtocolTest, FormatsForecastAndShedResponses) {
   Response ok;
@@ -786,19 +758,27 @@ TEST(ProtocolTest, ForecastValuesMatchPrintfAndRoundTrip) {
 }
 
 TEST(ProtocolTest, RejectsNonFiniteValues) {
-  for (const std::string line :
-       {"obs nan 1", "obs 1 NaN", "obs inf 2", "obs -inf", "obs infinity",
-        "obs 1e39", "obs -1e39", "obs1 0 nan", "obs1 0 inf", "obs1 0 1e39"}) {
-    Command c = ParseCommand(line);
-    EXPECT_EQ(c.kind, Command::Kind::kInvalid) << line;
-    EXPECT_NE(c.error.find("bad value"), std::string::npos) << line;
+  float v = 0.0f;
+  for (const std::string token :
+       {"nan", "NaN", "inf", "-inf", "infinity", "1e39", "-1e39"}) {
+    EXPECT_FALSE(ParseFloatToken(token, &v)) << token;
+    std::vector<float> values;
+    std::string err;
+    EXPECT_FALSE(ParseValueTokens({"obs", "1", token}, 1, &values, &err))
+        << token;
+    EXPECT_EQ(err, "bad value '" + token + "'");
   }
   // Finite extremes, denormals and underflow to zero stay valid.
-  Command ok = ParseCommand("obs 3.40282347e38 1e-45 1e-50 -0");
-  ASSERT_EQ(ok.kind, Command::Kind::kObs) << ok.error;
-  EXPECT_EQ(ok.values[0], FLT_MAX);
-  EXPECT_EQ(ok.values[1], FromBits(0x00000001u));
-  float v = 0.0f;
+  std::vector<float> ok;
+  std::string err;
+  ASSERT_TRUE(ParseValueTokens({"obs", "3.40282347e38", "1e-45", "1e-50", "-0"},
+                               1, &ok, &err))
+      << err;
+  ASSERT_EQ(ok.size(), 4u);
+  EXPECT_EQ(ToBits(ok[0]), ToBits(FLT_MAX));
+  EXPECT_EQ(ToBits(ok[1]), 0x00000001u);
+  EXPECT_EQ(ToBits(ok[2]), 0x00000000u);
+  EXPECT_EQ(ToBits(ok[3]), 0x80000000u);
   EXPECT_FALSE(ParseFloatToken("", &v));
   EXPECT_FALSE(ParseFloatToken("1.5x", &v));
   int64_t i = 0;
@@ -848,154 +828,19 @@ TEST(ServerStatsTest, MergeAddsCountersAndReweightsMeanBatch) {
   a.shed = 2;
   a.batches = 4;
   a.mean_batch = 2.0;  // 8 requests over 4 batches
-  a.protocol_errors = 1;
   a.latency.Record(100.0);
-  a.per_worker.Record("w0", 100.0);
   b.submitted = 6;
   b.completed = 6;
   b.batches = 2;
   b.mean_batch = 3.0;  // 6 requests over 2 batches
   b.latency.Record(300.0);
-  b.per_worker.Record("w0", 300.0);
   a.Merge(b);
   EXPECT_EQ(a.submitted, 16);
   EXPECT_EQ(a.completed, 14);
   EXPECT_EQ(a.shed, 2);
   EXPECT_EQ(a.batches, 6);
-  EXPECT_EQ(a.protocol_errors, 1);
   EXPECT_DOUBLE_EQ(a.mean_batch, 14.0 / 6.0);
   EXPECT_EQ(a.latency.count(), 2);
-  EXPECT_EQ(a.per_worker.Find("w0")->count(), 2);
-}
-
-// ---------------------------------------------------------------------------
-// Protocol hardening: validation and the LineSession error paths
-
-TEST(ProtocolTest, ValidateCommandRejectsBadShapes) {
-  Command obs = ParseCommand("obs 1 2 3");
-  EXPECT_TRUE(ValidateCommand(obs, /*num_sensors=*/3, /*features=*/1) ==
-              std::nullopt);
-  auto short_obs = ValidateCommand(obs, /*num_sensors=*/4, /*features=*/1);
-  ASSERT_TRUE(short_obs.has_value());
-  EXPECT_NE(short_obs->find("4"), std::string::npos);
-
-  Command sensor_oob = ParseCommand("obs1 9 1.0");
-  auto oob = ValidateCommand(sensor_oob, /*num_sensors=*/4, /*features=*/1);
-  ASSERT_TRUE(oob.has_value());
-  EXPECT_NE(oob->find("out of range"), std::string::npos);
-  Command sensor_neg = ParseCommand("obs1 -1 1.0");
-  EXPECT_TRUE(ValidateCommand(sensor_neg, 4, 1).has_value());
-
-  Command wrong_feat = ParseCommand("obs1 0 1.0 2.0");
-  EXPECT_TRUE(ValidateCommand(wrong_feat, 4, 1).has_value());
-  EXPECT_TRUE(ValidateCommand(wrong_feat, 4, 2) == std::nullopt);
-
-  // Control commands never fail shape validation.
-  EXPECT_TRUE(ValidateCommand(ParseCommand("forecast"), 4, 1) ==
-              std::nullopt);
-  EXPECT_TRUE(ValidateCommand(ParseCommand("stats"), 4, 1) == std::nullopt);
-}
-
-TEST(LineSessionTest, MalformedLinesAreCountedNeverFatal) {
-  Fixture f = MakeFixture("stwa_serve_session_err.bin");
-  ServerOptions opts;
-  Server server(f.path, opts);
-  LineSession session(server);
-  bool quit = false;
-
-  // Blank lines and comments produce no response and no error count.
-  EXPECT_FALSE(session.Handle("", &quit).has_value());
-  EXPECT_FALSE(session.Handle("# comment", &quit).has_value());
-  EXPECT_EQ(session.protocol_errors(), 0);
-
-  // Each malformed line: an "err ..." response, a bumped counter, and a
-  // still-usable session.
-  const std::vector<std::string> bad = {
-      "obs 1 two 3",        // unparsable value
-      "obs 1 2",            // wrong value count (needs N*F = 4)
-      "obs1 99 1.0",        // sensor out of range
-      "obs1 -1 1.0",        // negative sensor
-      "obs1 0 1.0 2.0",     // wrong feature count
-      "frobnicate",         // unknown verb
-  };
-  for (size_t i = 0; i < bad.size(); ++i) {
-    auto resp = session.Handle(bad[i], &quit);
-    ASSERT_TRUE(resp.has_value()) << bad[i];
-    EXPECT_EQ(resp->rfind("err ", 0), 0u) << *resp;
-    EXPECT_EQ(session.protocol_errors(), static_cast<int64_t>(i + 1));
-  }
-
-  // The stats line reports the count.
-  auto stats = session.Handle("stats", &quit);
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_NE(stats->find("protocol_errors=6"), std::string::npos) << *stats;
-
-  // The session still serves: warm it and get a real forecast.
-  std::vector<float> obs(static_cast<size_t>(f.info.num_sensors), 1.0f);
-  std::string obs_line = "obs";
-  for (float v : obs) obs_line += " " + std::to_string(v);
-  for (int64_t s = 0; s < f.settings.history; ++s) {
-    auto ok = session.Handle(obs_line, &quit);
-    ASSERT_TRUE(ok.has_value());
-    EXPECT_EQ(*ok, "ok");
-  }
-  auto forecast = session.Handle("forecast", &quit);
-  ASSERT_TRUE(forecast.has_value());
-  EXPECT_EQ(forecast->rfind("forecast ok=1", 0), 0u) << *forecast;
-  EXPECT_FALSE(quit);
-  auto bye = session.Handle("quit", &quit);
-  EXPECT_TRUE(quit);
-  EXPECT_EQ(*bye, "bye");
-  std::remove(f.path.c_str());
-}
-
-TEST(LineSessionTest, WarmingForecastReportsProgress) {
-  Fixture f = MakeFixture("stwa_serve_session_warm.bin");
-  Server server(f.path, ServerOptions{});
-  LineSession session(server);
-  bool quit = false;
-  auto resp = session.Handle("forecast", &quit);
-  ASSERT_TRUE(resp.has_value());
-  EXPECT_EQ(resp->rfind("forecast ok=0 degraded=0 err=warming_up", 0), 0u)
-      << *resp;
-  // Not a protocol error: the line was well-formed.
-  EXPECT_EQ(session.protocol_errors(), 0);
-  std::remove(f.path.c_str());
-}
-
-TEST(LineSessionTest, NonFiniteObservationLeavesStreamUnchanged) {
-  Fixture f = MakeFixture("stwa_serve_session_nonfinite.bin");
-  Server server(f.path, ServerOptions{});
-  LineSession session(server);
-  bool quit = false;
-  const int64_t n = f.info.num_sensors;
-  for (int64_t s = 0; s < f.settings.history; ++s) {
-    std::string line = "obs";
-    for (int64_t i = 0; i < n; ++i) line += " " + std::to_string(s + i);
-    ASSERT_EQ(session.Handle(line, &quit), "ok");
-  }
-  const Tensor before = session.state().Window();
-  const int64_t anchor = session.state().anchor();
-  const auto forecast = session.Handle("forecast", &quit);
-  ASSERT_TRUE(forecast.has_value());
-
-  const std::vector<std::string> bad = {
-      "obs nan 1 2 3", "obs 1 inf 2 3", "obs 1 2 -inf 3", "obs 1 2 3 1e39",
-      "obs1 0 nan", "obs1 1 -1e39"};
-  for (size_t i = 0; i < bad.size(); ++i) {
-    auto resp = session.Handle(bad[i], &quit);
-    ASSERT_TRUE(resp.has_value());
-    EXPECT_EQ(resp->rfind("err bad_value", 0), 0u) << *resp;
-    EXPECT_EQ(session.protocol_errors(), static_cast<int64_t>(i + 1));
-  }
-  const Tensor after = session.state().Window();
-  EXPECT_EQ(session.state().anchor(), anchor);
-  ASSERT_EQ(after.shape(), before.shape());
-  EXPECT_EQ(std::memcmp(after.data(), before.data(),
-                        sizeof(float) * static_cast<size_t>(before.size())),
-            0);
-  EXPECT_EQ(session.Handle("forecast", &quit), forecast);
-  std::remove(f.path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -1035,7 +880,7 @@ TEST(BatchingQueueTest, ShutdownDrainsQueuedRequestsBeforeEmpty) {
 // Checkpoint provenance
 
 TEST(ServingCheckpointTest, CkptVersionRoundTripsAndDefaultsToOne) {
-  Fixture f = MakeFixture("stwa_serve_ckptver.bin");
+  Fixture f = MakeFixture("serve_test_ckptver.bin");
   // MakeFixture leaves the default (1).
   EXPECT_EQ(ReadServingInfo(f.path).ckpt_version, 1);
   f.info.ckpt_version = 7;
@@ -1047,7 +892,7 @@ TEST(ServingCheckpointTest, CkptVersionRoundTripsAndDefaultsToOne) {
 }
 
 TEST(ServingCheckpointTest, PeekFormatVersionRejectsNonCheckpoints) {
-  const std::string path = TempPath("stwa_serve_peek_garbage.bin");
+  const std::string path = TempPath("serve_test_peek_garbage.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "not a checkpoint at all";

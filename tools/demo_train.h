@@ -1,6 +1,6 @@
 // The shared demo trainer behind every serving CLI's --train-demo mode.
 //
-// stwa_serve, stwa_fleet and stwa_online all need the same thing: a tiny
+// stwa_fleet and stwa_online both need the same thing: a tiny
 // quickstart-like dataset, a small ST-WA trained on it for a couple of
 // epochs, and a serving checkpoint written out — self-contained
 // checkpoint production for smoke tests and CI. This header is the single
@@ -19,8 +19,9 @@
 namespace stwa {
 namespace tools {
 
-/// Per-CLI knobs of the demo dataset. Defaults reproduce the stwa_serve
-/// demo (4 sensors, 4 days x 96 steps, seed 17) byte for byte.
+/// Per-CLI knobs of the demo dataset. Defaults give the 4-sensor demo
+/// (4 days x 96 steps, seed 17) whose checkpoint is byte-identical to
+/// stwa_fleet's cityA.bin.
 struct DemoTrainOptions {
   std::string dataset_name = "serve-demo";
   int64_t num_roads = 2;

@@ -1,4 +1,5 @@
-// stwa_fleet: multi-profile fleet serving node (src/fleet).
+// stwa_fleet: the serving CLI — a fleet node over one or more model
+// profiles (src/fleet).
 //
 // Modes:
 //   --train-demo <dir> [--epochs E]
@@ -15,6 +16,10 @@
 //   profile cityA ckpt=demo/cityA.bin tiles=8 shards=2 workers=2
 //   profile cityB ckpt=demo/cityB.bin tiles=4 shards=2 precision=bf16
 //   quota free rate=100 burst=200
+//
+// A single checkpoint is served by a one-profile config, e.g.
+//   profile demo ckpt=demo/cityA.bin workers=2 max_batch=8 serial_kernels=0
+// and lines such as "demo obs 0 <v...>" and "demo forecast 0".
 
 #include <cstdlib>
 #include <iostream>

@@ -3,8 +3,8 @@
 // Modes:
 //   --train-demo <ckpt> [--epochs E]
 //       Train the shared demo checkpoint (tools/demo_train.h) — byte
-//       identical to `stwa_serve --train-demo` — as the frozen base the
-//       run mode adapts.
+//       identical to the cityA.bin of `stwa_fleet --train-demo` — as the
+//       frozen base the run mode adapts.
 //   --ckpt <path> [--rows R] [--shift-step S] [--shift-scale X]
 //          [--shift-ramp N] [--emit-stride K] [--no-adapt] [--no-fleet]
 //          [--publish <path>]
