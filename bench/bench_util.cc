@@ -7,8 +7,6 @@
 #include "common/check.h"
 #include "common/string_util.h"
 #include "runtime/parallel.h"
-#include "serve/stream_cache.h"
-#include "simd/lowp.h"
 #include "simd/simd.h"
 #include "tensor/buffer_pool.h"
 
@@ -153,39 +151,14 @@ std::vector<std::string> MetricCells(const metrics::ForecastMetrics& m) {
           FormatFloat(m.rmse, 2)};
 }
 
-namespace {
-
-std::string g_run_profile = "-";
-int64_t g_run_ckpt_version = 0;
-
-}  // namespace
-
 void ReportRuntime() {
   const std::string env = GetEnvOr("STWA_NUM_THREADS", "");
   std::cout << "[runtime] threads=" << runtime::NumThreads()
             << (env.empty() ? " (hardware default)"
                             : " (STWA_NUM_THREADS=" + env + ")")
             << " pool=" << (pool::Enabled() ? "on" : "off")
-            << " simd=" << simd::IsaName()
-            << " precision=" << RunPrecisionName()
-            << " stream_cache="
-            << (serve::StreamCacheEnabled() ? "on" : "off")
-            << " profile=" << g_run_profile
-            << " ckpt_version=" << g_run_ckpt_version << "\n";
+            << " simd=" << simd::IsaName() << "\n";
 }
-
-const char* RunPrecisionName() {
-  return simd::PrecisionName(simd::EnvPrecision());
-}
-
-void SetRunCheckpoint(const std::string& profile, int64_t ckpt_version) {
-  g_run_profile = profile;
-  g_run_ckpt_version = ckpt_version;
-}
-
-const std::string& RunProfileName() { return g_run_profile; }
-
-int64_t RunCheckpointVersion() { return g_run_ckpt_version; }
 
 std::string BenchOutPath(const std::string& filename) {
   ::mkdir("bench_out", 0755);  // ignore EEXIST

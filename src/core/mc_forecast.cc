@@ -37,7 +37,7 @@ McForecast MonteCarloForecast(StwaModel& model, const Tensor& x,
   out.mean = ops::MulScalar(sum, inv);
   // Var = E[x^2] - E[x]^2, clamped at 0 against rounding.
   Tensor var = ops::Sub(ops::MulScalar(sum_sq, inv), ops::Square(out.mean));
-  out.stddev = ops::UnaryOp(
+  out.stddev = ops::UnaryMap(
       var, [](float v) { return std::sqrt(std::max(v, 0.0f)); });
   return out;
 }

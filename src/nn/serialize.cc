@@ -47,6 +47,25 @@ void WriteString(std::ofstream& out, const std::string& s) {
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
+/// Size of the file behind `in`; the read position is kept.
+uint64_t FileSize(std::ifstream& in) {
+  const std::streampos pos = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  in.seekg(pos);
+  STWA_CHECK(in.good() && size >= 0, "cannot size checkpoint");
+  return static_cast<uint64_t>(size);
+}
+
+/// Bytes between the read position and the end of a file of `size` bytes:
+/// the upper bound for any count or size field read from here on.
+uint64_t BytesLeft(std::ifstream& in, uint64_t size) {
+  const std::streamoff pos = in.tellg();
+  STWA_CHECK(pos >= 0 && static_cast<uint64_t>(pos) <= size,
+             "cannot position in checkpoint");
+  return size - static_cast<uint64_t>(pos);
+}
+
 std::string ReadString(std::ifstream& in, uint64_t max_len,
                        const char* what) {
   const uint64_t len = ReadPod<uint64_t>(in);
@@ -219,18 +238,37 @@ void LoadParameters(Module& module, const std::string& path) {
     std::vector<float> data;
   };
   std::map<std::string, Entry> file_params;
+  // Every size field is bounded by the bytes still in the file before
+  // anything is allocated, so a corrupt header fails as a typed error
+  // instead of a huge allocation. A parameter takes at least 16 bytes
+  // (name length + rank).
+  const uint64_t size = FileSize(in);
   const uint64_t count = ReadPod<uint64_t>(in);
+  STWA_CHECK(count <= BytesLeft(in, size) / 16,
+             "implausible parameter count ", count);
   for (uint64_t i = 0; i < count; ++i) {
     std::string name = ReadString(in, 4096, "parameter name");
     const uint64_t rank = ReadPod<uint64_t>(in);
-    STWA_CHECK(rank <= 16, "implausible parameter rank");
+    const uint64_t left = BytesLeft(in, size);
+    STWA_CHECK(rank <= 16 && rank * sizeof(int64_t) <= left,
+               "implausible rank ", rank, " for '", name, "'");
     Entry entry;
     entry.shape.resize(rank);
     for (uint64_t d = 0; d < rank; ++d) {
       entry.shape[d] = ReadPod<int64_t>(in);
       STWA_CHECK(entry.shape[d] >= 0, "negative dimension in checkpoint");
     }
-    entry.data.resize(static_cast<size_t>(NumElements(entry.shape)));
+    // Checked element product: it may never pass the floats left.
+    const uint64_t max_elems = (left - rank * sizeof(int64_t)) / sizeof(float);
+    uint64_t elems = 1;
+    for (const int64_t dim : entry.shape) {
+      STWA_CHECK(dim == 0 || elems <= max_elems / static_cast<uint64_t>(dim),
+                 "parameter '", name, "' is larger than the checkpoint");
+      elems *= static_cast<uint64_t>(dim);
+    }
+    STWA_CHECK(elems <= max_elems, "parameter '", name,
+               "' is larger than the checkpoint");
+    entry.data.resize(static_cast<size_t>(elems));
     in.read(reinterpret_cast<char*>(entry.data.data()),
             static_cast<std::streamsize>(sizeof(float) *
                                          entry.data.size()));

@@ -17,10 +17,11 @@
 //                    re-saved with SaveServingCheckpoint under a bumped
 //                    ckpt_version.
 //
-// The caller (tools/stwa_online, bench/bench_online, a fleet operator)
-// then calls fleet::ModelProfile::Reload(publish_path()) — the
-// generation-swap drains in-flight requests, so the fleet picks up the
-// adapted weights with zero drops. With adapt_enabled = false the learner
+// The caller (tools/stwa_online, a fleet operator, or online_test's
+// adapted-beats-frozen test) then calls
+// fleet::ModelProfile::Reload(publish_path()) — the generation-swap
+// drains in-flight requests, so the fleet picks up the adapted weights
+// with zero drops. With adapt_enabled = false the learner
 // still observes, probes and publishes on request, but never steps: the
 // re-saved checkpoint is bit-identical in weights, which the tests use to
 // prove the swap path itself perturbs nothing.

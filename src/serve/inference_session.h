@@ -36,9 +36,9 @@ struct SessionConfig {
   /// every rank-2 parameter into reduced-precision panels at open, so
   /// the hot path never repacks. Activations stay fp32 in every tier,
   /// and within one tier outputs are bit-identical across thread counts,
-  /// batching and plan toggles. Defaults to STWA_PRECISION
-  /// (fp32 / bf16 / int8; unset means fp32).
-  simd::Precision precision = simd::EnvPrecision();
+  /// batching and plan toggles. Fleet profiles set it with
+  /// `precision=`.
+  simd::Precision precision = simd::Precision::kFp32;
 };
 
 /// True for models whose construction depends only on sensor/feature

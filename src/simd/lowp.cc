@@ -1,7 +1,5 @@
 #include "simd/lowp.h"
 
-#include <cstdlib>
-
 #include "common/check.h"
 
 namespace stwa {
@@ -25,12 +23,6 @@ Precision ParsePrecision(const std::string& name) {
   if (name == "int8") return Precision::kInt8;
   throw Error("unknown precision \"" + name +
               "\"; expected fp32, bf16 or int8");
-}
-
-Precision EnvPrecision() {
-  const char* env = std::getenv("STWA_PRECISION");
-  if (env == nullptr || env[0] == '\0') return Precision::kFp32;
-  return ParsePrecision(env);
 }
 
 int64_t WeightBytes(Precision p) {

@@ -46,10 +46,6 @@ const char* PrecisionName(Precision p);
 /// Throws stwa::Error on anything else, listing the accepted values.
 Precision ParsePrecision(const std::string& name);
 
-/// The STWA_PRECISION environment tier; fp32 when unset. Throws on an
-/// unrecognised value (a typo silently serving fp32 would be worse).
-Precision EnvPrecision();
-
 /// Bytes one weight scalar occupies in a tier's packed panels (4/2/1).
 int64_t WeightBytes(Precision p);
 

@@ -427,11 +427,6 @@ Tensor Minimum(const Tensor& a, const Tensor& b) {
   return BinaryImpl(a, b, simd::MinOp{});
 }
 
-Tensor BinaryOp(const Tensor& a, const Tensor& b,
-                const std::function<float(float, float)>& fn) {
-  return BinaryImpl(a, b, fn);
-}
-
 Tensor AddScalar(const Tensor& a, float s) {
   return UnaryMap(a, simd::AddScalarOp{s});
 }
@@ -451,10 +446,6 @@ Tensor Square(const Tensor& a) { return UnaryMap(a, simd::SquareOp{}); }
 Tensor Tanh(const Tensor& a) { return UnaryMap(a, simd::TanhOp{}); }
 Tensor Sigmoid(const Tensor& a) { return UnaryMap(a, simd::SigmoidOp{}); }
 Tensor Relu(const Tensor& a) { return UnaryMap(a, simd::ReluOp{}); }
-
-Tensor UnaryOp(const Tensor& a, const std::function<float(float)>& fn) {
-  return UnaryImpl(a, fn);
-}
 
 Tensor MatMul2D(const Tensor& a, const Tensor& b) {
   STWA_CHECK(a.rank() == 2 && b.rank() == 2, "MatMul2D needs rank-2 inputs, ",

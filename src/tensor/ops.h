@@ -8,7 +8,6 @@
 #ifndef STWA_TENSOR_OPS_H_
 #define STWA_TENSOR_OPS_H_
 
-#include <functional>
 #include <vector>
 
 #include "common/check.h"
@@ -63,9 +62,7 @@ inline void VecBinaryRange(float* po, const float* pa, const float* pb,
 // These compile the functor directly into the loop — no std::function
 // type erasure, no per-element indirect call. The named elementwise ops
 // below (Exp, Tanh, Add, ...) and the autograd backward closures are built
-// on them; the std::function-based UnaryOp/BinaryOp remain only as the
-// type-erased escape hatch (and as the "old path" dispatch baseline in
-// bench_kernels).
+// on them.
 //
 // Functors that also provide a Vec overload (simd/vec_math.h) are
 // vectorized automatically on SIMD builds; plain scalar functors — and
@@ -94,7 +91,7 @@ Tensor UnaryMap(const Tensor& a, Fn fn) {
 }
 
 /// out[i] = fn(a[i], b[i]); same-shape operands only (broadcasting goes
-/// through BinaryOp / the named ops).
+/// through the named ops).
 template <typename Fn>
 Tensor BinaryMap(const Tensor& a, const Tensor& b, Fn fn) {
   STWA_CHECK(a.shape() == b.shape(), "BinaryMap shape mismatch: ",
@@ -154,10 +151,6 @@ Tensor Div(const Tensor& a, const Tensor& b);
 Tensor Maximum(const Tensor& a, const Tensor& b);
 Tensor Minimum(const Tensor& a, const Tensor& b);
 
-/// Generic broadcasting binary op with a custom combiner.
-Tensor BinaryOp(const Tensor& a, const Tensor& b,
-                const std::function<float(float, float)>& fn);
-
 // --- Elementwise with scalar -------------------------------------------
 
 Tensor AddScalar(const Tensor& a, float s);
@@ -174,9 +167,6 @@ Tensor Square(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
-
-/// Generic unary op with a custom map.
-Tensor UnaryOp(const Tensor& a, const std::function<float(float)>& fn);
 
 // --- Linear algebra ------------------------------------------------------
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/registry.h"
+#include "checkpoint_bytes.h"
 #include "common/check.h"
 #include "data/traffic_generator.h"
 #include "fleet/admission.h"
@@ -339,6 +340,26 @@ TEST(ModelProfileTest, ShardedForecastMatchesStandaloneServerBitExactly) {
   EXPECT_EQ(stats.completed, 3);
   EXPECT_EQ(stats.shed, 0);
   EXPECT_EQ(profile.ShardStats().size(), 2u);
+
+  // Overload: a tiny-capacity, 1 us-deadline profile over the same file
+  // sheds with degraded responses, counted in its stats, and never hangs.
+  FleetProfileConfig overload_config = SmallProfile("cityA-overload", f.path);
+  overload_config.capacity = 4;
+  overload_config.deadline_us = 1;
+  ModelProfile overload(overload_config);
+  WarmTile(overload, 0, w0);
+  std::vector<std::future<serve::Response>> futures;
+  for (int i = 0; i < 16; ++i) futures.push_back(overload.ForecastTile(0));
+  int64_t shed = 0;
+  for (auto& fut : futures) {
+    const serve::Response r = fut.get();
+    if (!r.ok) {
+      EXPECT_TRUE(r.degraded);
+      ++shed;
+    }
+  }
+  EXPECT_GT(shed, 0);
+  EXPECT_EQ(overload.Stats().shed, shed);
   std::remove(f.path.c_str());
 }
 
@@ -708,6 +729,24 @@ TEST(FleetLineSessionTest, ReloadCommandSwapsAndReportsFailuresSoftly) {
   EXPECT_EQ(bad->rfind("reload ok=0 profile=cityX", 0), 0u) << *bad;
   EXPECT_EQ(node.registry().Get("cityX").Version(), 2);
   EXPECT_EQ(node.Stats().protocol_errors, 0);
+
+  // A corrupt file (one high bit flipped in a dimension word) fails with
+  // the loader's typed message, not an allocation failure, and the
+  // profile keeps serving.
+  const std::string flipped = TempPath("stwa_fleet_proto_flipped.bin");
+  serve::SaveServingCheckpoint(*f.model, f.info, flipped);
+  ASSERT_TRUE(FlipFirstDimBit(flipped, "latent.mu", 46));
+  auto corrupt = session.Handle("reload cityX " + flipped, &quit);
+  ASSERT_TRUE(corrupt.has_value());
+  EXPECT_EQ(corrupt->rfind("reload ok=0 profile=cityX", 0), 0u) << *corrupt;
+  EXPECT_NE(corrupt->find("larger_than_the_checkpoint"), std::string::npos)
+      << *corrupt;
+  EXPECT_EQ(node.registry().Get("cityX").Version(), 2);
+  for (int s = 0; s < 12; ++s) session.Handle("cityX obs 0 1 2 3 4", &quit);
+  auto served = session.Handle("cityX forecast 0", &quit);
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(served->rfind("forecast ok=1", 0), 0u) << *served;
+  std::remove(flipped.c_str());
 
   auto unknown = session.Handle("reload nosuch /tmp/x", &quit);
   ASSERT_TRUE(unknown.has_value());

@@ -30,6 +30,7 @@
 #include "runtime/parallel.h"
 #include "serve/checkpoint.h"
 #include "serve/inference_session.h"
+#include "simd/lowp.h"
 #include "switch_guards.h"
 #include "tensor/ops.h"
 #include "train/trainer.h"
@@ -402,34 +403,44 @@ TEST(RewriteServeTest, ForecastsAreBitIdenticalFuseOnVsOff) {
   const std::string path = "/tmp/stwa_ir_rewrite_test_ckpt.bin";
   serve::SaveServingCheckpoint(*model, info, path);
 
-  // Sessions snapshot the fuse switch at Open; set it before each Open.
-  ir::SetFuseMode(true);
-  auto fused = serve::InferenceSession::Open(path);
-  ir::SetFuseMode(false);
-  auto plain = serve::InferenceSession::Open(path);
-  ResetModes();
-  ASSERT_NE(fused, nullptr);
-  ASSERT_NE(plain, nullptr);
+  // Every precision tier keeps its bytes across rewrites, thread counts
+  // and serial replay.
+  for (const simd::Precision tier :
+       {simd::Precision::kFp32, simd::Precision::kBf16,
+        simd::Precision::kInt8}) {
+    serve::SessionConfig cfg;
+    cfg.precision = tier;
+    // Sessions snapshot the fuse switch at Open; set it before each Open.
+    ir::SetFuseMode(true);
+    auto fused = serve::InferenceSession::Open(path, cfg);
+    ir::SetFuseMode(false);
+    auto plain = serve::InferenceSession::Open(path, cfg);
+    ResetModes();
+    ASSERT_NE(fused, nullptr);
+    ASSERT_NE(plain, nullptr);
 
-  Rng rng(31);
-  for (int threads : {1, 4}) {
-    runtime::SetNumThreads(threads);
-    for (int i = 0; i < 2; ++i) {
-      Tensor window = Tensor::Rand(
-          {2, d.num_sensors(), s.history, d.num_features()}, rng, 50.0f,
-          400.0f);
-      Tensor with_fusion = fused->Forecast(window);
-      Tensor without_fusion = plain->Forecast(window);
-      EXPECT_TRUE(BitIdentical(with_fusion, without_fusion))
-          << "request " << i << " at " << threads << " threads";
-      if (threads > 1) {
-        runtime::ScopedSerialRegion serial_region;  // serial replay
-        EXPECT_TRUE(BitIdentical(fused->Forecast(window), with_fusion))
-            << "request " << i << " serial region";
+    Rng rng(31);
+    for (int threads : {1, 4}) {
+      runtime::SetNumThreads(threads);
+      for (int i = 0; i < 2; ++i) {
+        Tensor window = Tensor::Rand(
+            {2, d.num_sensors(), s.history, d.num_features()}, rng, 50.0f,
+            400.0f);
+        Tensor with_fusion = fused->Forecast(window);
+        Tensor without_fusion = plain->Forecast(window);
+        EXPECT_TRUE(BitIdentical(with_fusion, without_fusion))
+            << simd::PrecisionName(tier) << " request " << i << " at "
+            << threads << " threads";
+        if (threads > 1) {
+          runtime::ScopedSerialRegion serial_region;  // serial replay
+          EXPECT_TRUE(BitIdentical(fused->Forecast(window), with_fusion))
+              << simd::PrecisionName(tier) << " request " << i
+              << " serial region";
+        }
       }
     }
+    runtime::SetNumThreads(0);
   }
-  runtime::SetNumThreads(0);
   std::remove(path.c_str());
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -343,6 +344,120 @@ TEST(OnlineLearnerTest, ForcedAdaptationMovesWeightsAndPublishes) {
                         sizeof(float) *
                             static_cast<size_t>(reference.size())),
             0);
+  std::remove(base.c_str());
+  std::remove(config.publish_path.c_str());
+}
+
+TEST(OnlineLearnerTest, AdaptedBeatsFrozenAfterShiftThroughFleetReloads) {
+  // A planted network-wide level shift (flows x1.5 halfway through). The
+  // base model is trained on the pre-shift rows only. The frozen arm
+  // serves it unchanged; the adapted arm serves it from a single-tile
+  // fleet profile that hot-reloads every checkpoint the learner
+  // publishes. Adaptation must run, beat the frozen post-shift MAE, and
+  // lose no request across the reloads.
+  data::GeneratorOptions gen;
+  gen.name = "online-shift";
+  gen.num_roads = 2;
+  gen.sensors_per_road = 2;
+  gen.num_days = 4;
+  gen.steps_per_day = 96;
+  gen.seed = 17;
+  gen.shift_step = gen.num_days * gen.steps_per_day / 2;
+  gen.shift_scale = 1.5f;
+  const data::TrafficDataset stream = data::GenerateTraffic(gen);
+  const int64_t rows = stream.num_steps();
+  const int64_t shift_row = gen.shift_step;
+  baselines::ModelSettings settings = OnlineTestSettings();
+  settings.seed = 7;
+  const int64_t history = settings.history;
+  const int64_t horizon = settings.horizon;
+
+  const std::string base = "/tmp/online_shift_base.bin";
+  {
+    data::TrafficDataset pre_shift = stream;
+    pre_shift.values = ops::Slice(stream.values, 1, 0, shift_row);
+    auto model = baselines::MakeModel("ST-WA", pre_shift, settings);
+    train::TrainConfig config;
+    config.epochs = 2;
+    config.batch_size = 8;
+    config.stride = 2;
+    config.eval_stride = 4;
+    train::Trainer trainer(pre_shift, history, horizon, config);
+    trainer.Fit(*model);
+    serve::ServingInfo info;
+    info.model = "ST-WA";
+    info.settings = settings;
+    info.num_sensors = pre_shift.num_sensors();
+    info.num_features = pre_shift.num_features();
+    info.scaler_mean = trainer.scaler().mean();
+    info.scaler_std = trainer.scaler().stddev();
+    serve::SaveServingCheckpoint(*model, info, base);
+  }
+
+  // Raw-scale MAE over forecasts whose targets all lie past the shift.
+  struct PostShiftMae {
+    double abs_sum = 0.0;
+    int64_t elems = 0;
+    void Add(const Tensor& pred, const Tensor& truth) {
+      for (int64_t k = 0; k < truth.size(); ++k) {
+        abs_sum += std::abs(pred.data()[k] - truth.data()[k]);
+      }
+      elems += truth.size();
+    }
+    double mae() const { return abs_sum / static_cast<double>(elems); }
+  };
+  auto scored = [&](int64_t t) {
+    return t >= history - 1 && t + horizon < rows && t + 1 >= shift_row &&
+           (t - (history - 1)) % 2 == 0;
+  };
+
+  PostShiftMae frozen;
+  {
+    auto session = serve::InferenceSession::Open(base);
+    for (int64_t t = 0; t < rows; ++t) {
+      if (!scored(t)) continue;
+      frozen.Add(session->Forecast(
+                     ops::Slice(stream.values, 1, t - history + 1, history)),
+                 ops::Slice(stream.values, 1, t + 1, horizon));
+    }
+  }
+
+  OnlineConfig config;
+  config.publish_path = "/tmp/online_shift_adapted.bin";
+  OnlineLearner learner(base, config);
+  fleet::FleetProfileConfig profile_config;
+  profile_config.name = "online-shift";
+  profile_config.checkpoint = base;
+  fleet::ModelProfile profile(profile_config);
+  PostShiftMae adapted;
+  int64_t lost = 0;
+  int64_t reloads = 0;
+  std::vector<float> row(static_cast<size_t>(stream.num_sensors()));
+  for (int64_t t = 0; t < rows; ++t) {
+    for (int64_t i = 0; i < stream.num_sensors(); ++i) {
+      row[static_cast<size_t>(i)] = stream.values({i, t, 0});
+    }
+    profile.PushTile(0, row);
+    if (scored(t)) {
+      const serve::Response resp = profile.ForecastTile(0).get();
+      if (!resp.ok || resp.degraded) {
+        ++lost;
+      } else {
+        adapted.Add(resp.forecast,
+                    ops::Slice(stream.values, 1, t + 1, horizon));
+      }
+    }
+    if (learner.Observe(row)) {
+      profile.Reload(learner.publish_path());
+      ++reloads;
+    }
+  }
+
+  EXPECT_GE(learner.stats().cycles, 1);
+  EXPECT_EQ(reloads, learner.stats().publishes);
+  EXPECT_LT(adapted.mae(), frozen.mae());
+  EXPECT_EQ(lost, 0);
+  EXPECT_EQ(profile.Stats().shed, 0);
   std::remove(base.c_str());
   std::remove(config.publish_path.c_str());
 }

@@ -3,10 +3,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "baselines/registry.h"
+#include "checkpoint_bytes.h"
 #include "common/check.h"
 #include "data/traffic_generator.h"
 #include "nn/mlp.h"
@@ -242,6 +245,86 @@ TEST(SerializeTest, GarbageFileThrows) {
     out << "not a checkpoint";
   }
   Rng rng(5);
+  Mlp a({2, 2}, Activation::kNone, Activation::kNone, &rng);
+  EXPECT_THROW(LoadParameters(a, path), Error);
+  std::remove(path.c_str());
+}
+
+// Corrupt size fields must fail as stwa::Error before the loader
+// allocates: every count, rank and element product is bounded by the
+// bytes left in the file.
+
+TEST(SerializeTest, FlippedDimensionBitFailsAsTypedError) {
+  data::GeneratorOptions o;
+  o.num_roads = 2;
+  o.sensors_per_road = 2;
+  o.num_days = 2;
+  o.steps_per_day = 48;
+  const data::TrafficDataset dataset = data::GenerateTraffic(o);
+  baselines::ModelSettings s;
+  s.history = 12;
+  s.horizon = 3;
+  s.d_model = 8;
+  s.latent_dim = 4;
+  s.predictor_hidden = 16;
+  auto model = baselines::MakeModel("ST-WA", dataset, s);
+  const std::string path = TempPath("stwa_ckpt_bitflip.bin");
+  SaveParameters(*model, path);
+  // One high bit in latent.mu's first dimension asks for ~2^46 floats.
+  ASSERT_TRUE(FlipFirstDimBit(path, "latent.mu", 46));
+  try {
+    LoadParameters(*model, path);
+    FAIL() << "expected a typed error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("latent.mu"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, EveryTruncationFailsAsTypedError) {
+  Rng rng(12);
+  Mlp a({3, 4, 2}, Activation::kRelu, Activation::kNone, &rng);
+  const std::string path = TempPath("stwa_ckpt_trunc.bin");
+  CheckpointMeta meta;
+  meta.Set("model", "demo-mlp");
+  SaveParameters(a, path, meta);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 64u);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(cut));
+    }
+    EXPECT_THROW(LoadParameters(a, path), Error) << "cut at " << cut;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, RankSixteenHugeDimensionsFailAsTypedError) {
+  const std::string path = TempPath("stwa_ckpt_rank16.bin");
+  {
+    std::ofstream out(path, std::ios::binary);
+    auto put = [&out](auto v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(uint32_t{0x53545741});  // magic
+    put(uint32_t{3});           // version
+    put(uint64_t{0});           // metadata entries
+    put(uint64_t{1});           // parameters
+    put(uint64_t{1});           // name length
+    out.put('w');
+    put(uint64_t{16});  // rank
+    // 2^40 + 1 per dimension: a plain int64 product overflows (UB) and,
+    // wrapped, would ask for 2^44 + 1 floats.
+    for (int d = 0; d < 16; ++d) put((int64_t{1} << 40) + 1);
+  }
+  Rng rng(13);
   Mlp a({2, 2}, Activation::kNone, Activation::kNone, &rng);
   EXPECT_THROW(LoadParameters(a, path), Error);
   std::remove(path.c_str());

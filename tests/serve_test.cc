@@ -24,8 +24,10 @@
 #include "autograd/no_grad.h"
 #include "baselines/registry.h"
 #include "common/check.h"
+#include "data/scaler.h"
 #include "data/traffic_generator.h"
 #include "metrics/latency.h"
+#include "metrics/metrics.h"
 #include "nn/serialize.h"
 #include "serve/batching_queue.h"
 #include "serve/checkpoint.h"
@@ -35,6 +37,7 @@
 #include "serve/server.h"
 #include "serve/stream_state.h"
 #include "simd/lowp.h"
+#include "tensor/buffer_pool.h"
 #include "tensor/lowp_cache.h"
 #include "tensor/ops.h"
 
@@ -257,28 +260,38 @@ TEST(InferenceSessionTest, ForecastMatchesManualPipelineBitExactly) {
 }
 
 TEST(InferenceSessionTest, BatchedForecastIsBitIdenticalPerSample) {
+  // In every tier each row of a batch gets the same bytes as that window
+  // forecast alone.
   Fixture f = MakeFixture("serve_test_batch.bin");
-  auto session = InferenceSession::Open(f.path);
   const int64_t n = f.info.num_sensors, h = f.settings.history;
-  Tensor w0 = ops::Slice(f.dataset.values, 1, 0, h);
-  Tensor w1 = ops::Slice(f.dataset.values, 1, 9, h);
-  Tensor single0 = session->Forecast(w0);
-  Tensor single1 = session->Forecast(w1);
-
-  Tensor batch = Tensor::Uninit({2, n, h, 1});
-  std::memcpy(batch.data(), w0.data(),
-              sizeof(float) * static_cast<size_t>(w0.size()));
-  std::memcpy(batch.data() + w0.size(), w1.data(),
-              sizeof(float) * static_cast<size_t>(w1.size()));
-  Tensor both = session->Forecast(batch);
-  ASSERT_EQ(both.dim(0), 2);
-  const int64_t per = single0.size();
-  EXPECT_EQ(std::memcmp(both.data(), single0.data(),
-                        sizeof(float) * static_cast<size_t>(per)),
-            0);
-  EXPECT_EQ(std::memcmp(both.data() + per, single1.data(),
-                        sizeof(float) * static_cast<size_t>(per)),
-            0);
+  constexpr int64_t kBatch = 8;
+  std::vector<Tensor> windows;
+  for (int64_t b = 0; b < kBatch; ++b) {
+    windows.push_back(ops::Slice(f.dataset.values, 1, 3 * b, h));
+  }
+  for (const simd::Precision tier :
+       {simd::Precision::kFp32, simd::Precision::kBf16,
+        simd::Precision::kInt8}) {
+    SessionConfig cfg;
+    cfg.precision = tier;
+    auto session = InferenceSession::Open(f.path, cfg);
+    Tensor batch = Tensor::Uninit({kBatch, n, h, 1});
+    const int64_t in_per = windows[0].size();
+    for (int64_t b = 0; b < kBatch; ++b) {
+      std::memcpy(batch.data() + b * in_per, windows[b].data(),
+                  sizeof(float) * static_cast<size_t>(in_per));
+    }
+    Tensor all = session->Forecast(batch);
+    ASSERT_EQ(all.dim(0), kBatch) << simd::PrecisionName(tier);
+    for (int64_t b = 0; b < kBatch; ++b) {
+      Tensor single = session->Forecast(windows[b]);
+      const int64_t per = single.size();
+      EXPECT_EQ(std::memcmp(all.data() + b * per, single.data(),
+                            sizeof(float) * static_cast<size_t>(per)),
+                0)
+          << simd::PrecisionName(tier) << " row " << b;
+    }
+  }
   std::remove(f.path.c_str());
 }
 
@@ -292,6 +305,28 @@ TEST(InferenceSessionTest, TwoSessionsAgreeBitExactly) {
   EXPECT_EQ(std::memcmp(a.data(), b.data(),
                         sizeof(float) * static_cast<size_t>(a.size())),
             0);
+  std::remove(f.path.c_str());
+}
+
+TEST(InferenceSessionTest, WarmForecastsDoNotHeapAllocate) {
+  // After warm-up every buffer a forecast needs (scaler staging, output,
+  // kernel intermediates) comes from the pool's free lists: zero pool
+  // misses per call, in every tier.
+  Fixture f = MakeFixture("serve_test_allocs.bin");
+  Tensor window = ops::Slice(f.dataset.values, 1, 6, f.settings.history);
+  for (const simd::Precision tier :
+       {simd::Precision::kFp32, simd::Precision::kBf16,
+        simd::Precision::kInt8}) {
+    SessionConfig cfg;
+    cfg.precision = tier;
+    auto session = InferenceSession::Open(f.path, cfg);
+    for (int i = 0; i < 8; ++i) session->Forecast(window);
+    pool::ResetStats();
+    for (int i = 0; i < 32; ++i) session->Forecast(window);
+    const pool::PoolStats stats = pool::Stats();
+    EXPECT_GT(stats.requests, 0u) << simd::PrecisionName(tier);
+    EXPECT_EQ(stats.misses, 0u) << simd::PrecisionName(tier);
+  }
   std::remove(f.path.c_str());
 }
 
@@ -333,6 +368,74 @@ TEST(PrecisionSessionTest, TiersAreDeterministicAndCloseToFp32) {
         << simd::PrecisionName(tier);
   }
   std::remove(f.path.c_str());
+}
+
+TEST(PrecisionSessionTest, MaeDriftVsFp32WithinTierBounds) {
+  // The reduced tiers' accuracy contract on Table IV models (random-init
+  // weights: the drift is a property of the numerics, not of training):
+  // MAE against the true continuation may move at most 0.1% for bf16 and
+  // 1% for int8, relative to fp32.
+  data::GeneratorOptions gen;
+  gen.num_roads = 2;
+  gen.sensors_per_road = 2;
+  gen.num_days = 2;
+  gen.steps_per_day = 96;
+  gen.seed = 11;
+  const data::TrafficDataset dataset = data::GenerateTraffic(gen);
+  baselines::ModelSettings settings;
+  settings.history = 12;
+  settings.horizon = 12;
+  settings.d_model = 8;
+  settings.window_sizes = {3, 2, 2};
+  settings.latent_dim = 4;
+  settings.predictor_hidden = 16;
+  settings.seed = 3;
+  data::StandardScaler scaler;
+  scaler.Fit(dataset.values, dataset.num_steps() * 6 / 10);
+  ServingInfo info;
+  info.settings = settings;
+  info.num_sensors = dataset.num_sensors();
+  info.num_features = dataset.num_features();
+  info.scaler_mean = scaler.mean();
+  info.scaler_std = scaler.stddev();
+
+  std::vector<std::pair<Tensor, Tensor>> eval;
+  const int64_t max_anchor =
+      dataset.num_steps() - settings.history - settings.horizon;
+  for (int64_t e = 0; e < 6; ++e) {
+    const int64_t anchor = e * 13 % max_anchor;
+    eval.emplace_back(
+        ops::Slice(dataset.values, 1, anchor, settings.history),
+        ops::Slice(dataset.values, 1, anchor + settings.history,
+                   settings.horizon));
+  }
+  const std::string path = TempPath("serve_test_prec_drift.bin");
+  for (const std::string name : {"ST-WA", "STGCN", "AGCRN"}) {
+    info.model = name;
+    auto model = baselines::MakeModel(name, dataset, settings);
+    SaveServingCheckpoint(*model, info, path);
+    double mae[3] = {0.0, 0.0, 0.0};
+    const simd::Precision tiers[3] = {simd::Precision::kFp32,
+                                      simd::Precision::kBf16,
+                                      simd::Precision::kInt8};
+    for (int t = 0; t < 3; ++t) {
+      SessionConfig cfg;
+      cfg.precision = tiers[t];
+      auto session = InferenceSession::Open(path, dataset, cfg);
+      metrics::MetricAccumulator acc;
+      for (const auto& [window, truth] : eval) {
+        acc.Add(session->Forecast(window), truth);
+      }
+      mae[t] = acc.Result().mae;
+    }
+    ASSERT_GT(mae[0], 0.0) << name;
+    // A tier that silently served fp32 would pass the bounds below.
+    EXPECT_NE(mae[1], mae[0]) << name;
+    EXPECT_NE(mae[2], mae[0]) << name;
+    EXPECT_LE(100.0 * std::abs(mae[1] - mae[0]) / mae[0], 0.1) << name;
+    EXPECT_LE(100.0 * std::abs(mae[2] - mae[0]) / mae[0], 1.0) << name;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(PrecisionSessionTest, V2CheckpointWithoutScalesServesIdentically) {
