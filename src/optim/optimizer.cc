@@ -45,7 +45,7 @@ void Sgd::Step() {
       float* vel = velocity_[i].data();
       const float momentum = momentum_;
       const float lr = lr_;
-      runtime::ParallelFor(0, value.size(), ops::detail::kMinChunkWork,
+      runtime::ParallelFor(0, value.size(), runtime::kMinChunkWork,
                            [=](int64_t j0, int64_t j1) {
                              for (int64_t j = j0; j < j1; ++j) {
                                vel[j] = momentum * vel[j] + g[j];
@@ -99,7 +99,7 @@ void Adam::Step() {
     // Single fused pass over the parameter: moments and weight update in
     // one loop, elementwise-independent, so chunking keeps determinism.
     runtime::ParallelFor(
-        0, value.size(), ops::detail::kMinChunkWork / 4,
+        0, value.size(), runtime::kMinChunkWork / 4,
         [=](int64_t j0, int64_t j1) {
           for (int64_t j = j0; j < j1; ++j) {
             const float gj = g[j] + wd * w[j];

@@ -7,6 +7,12 @@
 // results are bit-identical across thread counts (see DESIGN.md
 // "Execution runtime" for the determinism contract).
 //
+// Dispatch is built for streams of short regions: the pool publishes each
+// region in one reusable slot that borrows the caller's body (no
+// allocation, no std::function copy), and both helpers and the caller spin
+// for about 50 us before parking on a condition variable, so back-to-back
+// regions neither wake a sleeping thread nor sleep on the join.
+//
 // Thread count resolution, in priority order:
 //   1. runtime::SetNumThreads(n) (e.g. from train::TrainConfig)
 //   2. the STWA_NUM_THREADS environment variable
@@ -20,12 +26,15 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 
 namespace stwa {
 namespace runtime {
 
-/// Chunk body: processes the half-open index range [begin, end).
-using RangeFn = std::function<void(int64_t, int64_t)>;
+/// Grain floor shared by every ParallelFor call site: a chunk should hold
+/// at least this many elementwise-op-equivalents (multiply-adds for GEMM
+/// rows). Kernels with a per-item cost divide it by that cost.
+constexpr int64_t kMinChunkWork = 16384;
 
 /// Number of threads the pool currently targets (>= 1).
 int NumThreads();
@@ -90,18 +99,26 @@ inline bool ShouldParallelize(int64_t range, int64_t grain) {
   return (size == 0 ? ResolvePoolSize() : size) > 1;
 }
 
-/// Pool dispatch behind ShouldParallelize; `fn` only borrows the caller's
-/// functor for the duration of the (blocking) call.
+/// Type-erased call of a borrowed range body: body(begin, end).
+using RangeThunk = void (*)(const void* body, int64_t begin, int64_t end);
+
+template <typename Body>
+void InvokeRange(const void* body, int64_t begin, int64_t end) {
+  (*static_cast<Body*>(const_cast<void*>(body)))(begin, end);
+}
+
+/// Pool dispatch behind ShouldParallelize; `body` is only borrowed for the
+/// duration of the (blocking) call.
 void ParallelForImpl(int64_t begin, int64_t end, int64_t grain,
-                     const RangeFn& fn);
+                     const void* body, RangeThunk call);
 
 }  // namespace detail
 
 /// Runs fn over [begin, end) in contiguous chunks of at least `grain`
-/// indices. Runs inline — with no type erasure or allocation — when the
-/// range is empty, fits in one grain, the pool has a single thread, or the
-/// caller is already inside a parallel region (nested parallelism degrades
-/// to serial). Exceptions thrown by fn are rethrown on the calling thread.
+/// indices. Runs inline when the range is empty, fits in one grain, the
+/// pool has a single thread, or the caller is already inside a parallel
+/// region (nested parallelism degrades to serial). Neither path copies fn
+/// or allocates. Exceptions thrown by fn are rethrown on the calling thread.
 template <typename Fn>
 void ParallelFor(int64_t begin, int64_t end, int64_t grain, Fn&& fn) {
   if (begin >= end) return;
@@ -110,8 +127,8 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain, Fn&& fn) {
     fn(begin, end);
     return;
   }
-  detail::ParallelForImpl(begin, end, grain,
-                          RangeFn(std::ref(fn)));  // no functor copy
+  detail::ParallelForImpl(begin, end, grain, &fn,
+                          &detail::InvokeRange<std::remove_reference_t<Fn>>);
 }
 
 }  // namespace runtime

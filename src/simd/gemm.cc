@@ -10,17 +10,16 @@ namespace stwa {
 namespace simd {
 namespace {
 
+using runtime::kMinChunkWork;
+
 constexpr int64_t kW = Vec::kWidth;
-// Matches ops::detail::kMinChunkWork (kept local: simd must not depend on
-// tensor/ops.h, which includes this layer).
-constexpr int64_t kMinChunkFlops = 16384;
 // Packed path pays one B repack + A tile packs per K block; below this
 // flop count the row kernels win.
 constexpr int64_t kPackedMinFlops = 128 * 1024;
 
 int64_t RowGrain(int64_t k, int64_t n) {
   const int64_t flops_per_row = std::max<int64_t>(1, k * n);
-  return std::max<int64_t>(1, kMinChunkFlops / flops_per_row);
+  return std::max<int64_t>(1, kMinChunkWork / flops_per_row);
 }
 
 // --- Packing -------------------------------------------------------------
@@ -141,7 +140,7 @@ void GemmPacked(const float* a, const float* b, float* c, int64_t m,
   for (int64_t kb = 0; kb < k; kb += kGemmKC) {
     const int64_t kc = std::min(kGemmKC, k - kb);
     runtime::ParallelFor(
-        0, num_jp, std::max<int64_t>(1, kMinChunkFlops / (kc * kGemmNR)),
+        0, num_jp, std::max<int64_t>(1, kMinChunkWork / (kc * kGemmNR)),
         [&](int64_t jp0, int64_t jp1) {
           for (int64_t jp = jp0; jp < jp1; ++jp) {
             PackBPanel(b, pb + jp * kc * kGemmNR, kb, kc, jp * kGemmNR, n,
@@ -149,7 +148,7 @@ void GemmPacked(const float* a, const float* b, float* c, int64_t m,
           }
         });
     runtime::ParallelFor(
-        0, num_it, std::max<int64_t>(1, kMinChunkFlops / (kc * kGemmMR)),
+        0, num_it, std::max<int64_t>(1, kMinChunkWork / (kc * kGemmMR)),
         [&](int64_t t0, int64_t t1) {
           for (int64_t t = t0; t < t1; ++t) {
             const int64_t i0 = t * kGemmMR;
@@ -165,7 +164,7 @@ void GemmPacked(const float* a, const float* b, float* c, int64_t m,
     // chunk phase, so results are chunking-independent.
     runtime::ParallelFor(
         0, num_jp,
-        std::max<int64_t>(1, kMinChunkFlops /
+        std::max<int64_t>(1, kMinChunkWork /
                                  (kc * kGemmNR * std::max<int64_t>(1, m))),
         [&](int64_t jp0, int64_t jp1) {
           for (int64_t jp = jp0; jp < jp1; ++jp) {

@@ -23,6 +23,8 @@ namespace stwa {
 namespace simd {
 namespace {
 
+using runtime::kMinChunkWork;
+
 constexpr int64_t kLowpMR = 6;
 #if defined(STWA_LOWP_AVX512)
 constexpr int64_t kLowpNR = 32;
@@ -54,9 +56,6 @@ inline int64_t Bf16PanelWord(int64_t c) {
   return c;
 #endif
 }
-
-// Matches the grain heuristic in simd/gemm.cc.
-constexpr int64_t kMinChunkFlops = 16384;
 
 inline float OpA(const float* a, int64_t i, int64_t kk, int64_t k,
                  int64_t m, bool trans_a) {
@@ -95,7 +94,7 @@ template <typename Q, int kOffset>
 void QuantizeOpA(const float* a, int64_t m, int64_t k, bool trans_a,
                  Q* qa, int64_t stride, float* sa) {
   runtime::ParallelFor(
-      0, m, std::max<int64_t>(1, kMinChunkFlops / std::max<int64_t>(1, k)),
+      0, m, std::max<int64_t>(1, kMinChunkWork / std::max<int64_t>(1, k)),
       [&](int64_t r0, int64_t r1) {
         for (int64_t i = r0; i < r1; ++i) {
           float absmax = 0.0f;
@@ -120,7 +119,7 @@ void QuantizeOpA(const float* a, int64_t m, int64_t k, bool trans_a,
 
 int64_t PanelFlopGrain(int64_t m, int64_t k) {
   return std::max<int64_t>(
-      1, kMinChunkFlops / std::max<int64_t>(1, k * kLowpNR * m));
+      1, kMinChunkWork / std::max<int64_t>(1, k * kLowpNR * m));
 }
 
 // --- Scalar implementations (reference on vector builds, production on
@@ -133,7 +132,7 @@ void ScalarBf16(const float* a, const PackedWeights& w, float* c, int64_t m,
   const int64_t nr = w.nr;
   runtime::ParallelFor(
       0, m,
-      std::max<int64_t>(1, kMinChunkFlops / std::max<int64_t>(1, k * n)),
+      std::max<int64_t>(1, kMinChunkWork / std::max<int64_t>(1, k * n)),
       [&](int64_t r0, int64_t r1) {
         for (int64_t i = r0; i < r1; ++i) {
           float* cr = c + i * n;
@@ -167,7 +166,7 @@ void ScalarInt8(const float* a, const PackedWeights& w, float* c, int64_t m,
   QuantizeOpA<int8_t, 0>(a, m, k, trans_a, qa, k, sa);
   runtime::ParallelFor(
       0, m,
-      std::max<int64_t>(1, kMinChunkFlops / std::max<int64_t>(1, k * n)),
+      std::max<int64_t>(1, kMinChunkWork / std::max<int64_t>(1, k * n)),
       [&](int64_t r0, int64_t r1) {
         for (int64_t i = r0; i < r1; ++i) {
           const int8_t* qr = qa + i * k;
@@ -371,7 +370,7 @@ void VectorBf16(const float* a, const PackedWeights& w, float* c, int64_t m,
   float* pa = ascratch->data();
   runtime::ParallelFor(
       0, num_it,
-      std::max<int64_t>(1, kMinChunkFlops / std::max<int64_t>(1, k * kBf16MR)),
+      std::max<int64_t>(1, kMinChunkWork / std::max<int64_t>(1, k * kBf16MR)),
       [&](int64_t t0, int64_t t1) {
         for (int64_t t = t0; t < t1; ++t) {
           const int64_t i0 = t * kBf16MR;

@@ -20,7 +20,7 @@ namespace ops {
 namespace {
 
 // Grain sizes below derive from the shared per-chunk work floor.
-using detail::kMinChunkWork;
+using runtime::kMinChunkWork;
 
 // SIMD kernels below follow the simd.h determinism contract: ragged tails
 // use partial vector loads/stores (never scalar remainder loops), lane

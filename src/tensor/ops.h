@@ -19,11 +19,6 @@ namespace stwa {
 namespace ops {
 
 namespace detail {
-/// Minimum number of elementwise-op-equivalents a ParallelFor chunk should
-/// amortise thread handoff over (shared by the header map templates and
-/// the kernels in ops.cc).
-constexpr int64_t kMinChunkWork = 16384;
-
 /// Vectorized chunk body shared by the map templates: full vectors, then
 /// one partial vector for the ragged tail. The tail runs the same lane
 /// operations as a full vector (simd.h determinism contract), so results
@@ -76,7 +71,7 @@ Tensor UnaryMap(const Tensor& a, Fn fn) {
   Tensor out = Tensor::Uninit(a.shape());
   const float* pa = a.data();
   float* po = out.data();
-  runtime::ParallelFor(0, a.size(), detail::kMinChunkWork,
+  runtime::ParallelFor(0, a.size(), runtime::kMinChunkWork,
                        [po, pa, &fn](int64_t begin, int64_t end) {
                          if constexpr (simd::kEnabled &&
                                        simd::kIsVecUnary<Fn>) {
@@ -100,7 +95,7 @@ Tensor BinaryMap(const Tensor& a, const Tensor& b, Fn fn) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  runtime::ParallelFor(0, a.size(), detail::kMinChunkWork,
+  runtime::ParallelFor(0, a.size(), runtime::kMinChunkWork,
                        [po, pa, pb, &fn](int64_t begin, int64_t end) {
                          if constexpr (simd::kEnabled &&
                                        simd::kIsVecBinary<Fn>) {
@@ -120,7 +115,7 @@ Tensor BinaryMap(const Tensor& a, const Tensor& b, Fn fn) {
 template <typename Fn>
 void UnaryMapInPlace(Tensor& a, Fn fn) {
   float* pa = a.data();
-  runtime::ParallelFor(0, a.size(), detail::kMinChunkWork,
+  runtime::ParallelFor(0, a.size(), runtime::kMinChunkWork,
                        [pa, &fn](int64_t begin, int64_t end) {
                          if constexpr (simd::kEnabled &&
                                        simd::kIsVecUnary<Fn>) {

@@ -8,10 +8,14 @@
 // exercises both sides of the contract (the tests also switch thread
 // counts explicitly via SetNumThreads).
 
+#include <time.h>
+
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,7 +33,9 @@ namespace {
 /// True when the tensors have the same shape and bit-identical contents.
 bool BitIdentical(const Tensor& a, const Tensor& b) {
   if (a.shape() != b.shape()) return false;
-  return std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+  // Empty tensors have no storage; memcmp must not see their null data.
+  return a.size() == 0 ||
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
 }
 
 // --- ParallelFor mechanics ------------------------------------------------
@@ -106,6 +112,95 @@ TEST(ParallelForTest, SetNumThreadsRoundTrips) {
   EXPECT_EQ(runtime::NumThreads(), 1);
   runtime::SetNumThreads(0);  // back to the environment default
   EXPECT_EQ(runtime::NumThreads(), runtime::DefaultNumThreads());
+}
+
+// --- Pool dispatch: spin-then-park and the reusable region slot ----------
+
+/// Runs ParallelFor over [0, n) at grain 1 and returns true when every
+/// index was visited exactly once.
+bool ParallelForCoversOnce(int64_t n) {
+  std::vector<int> hits(n, 0);
+  runtime::ParallelFor(0, n, 1, [&](int64_t b, int64_t e) {
+    for (int64_t i = b; i < e; ++i) ++hits[i];
+  });
+  for (int h : hits) {
+    if (h != 1) return false;
+  }
+  return true;
+}
+
+/// RunRegions counterpart of ParallelForCoversOnce.
+bool RunRegionsCoversOnce(int64_t count) {
+  std::vector<int> hits(count, 0);
+  runtime::RunRegions(count, [&](int64_t i) { ++hits[i]; });
+  for (int h : hits) {
+    if (h != 1) return false;
+  }
+  return true;
+}
+
+double ProcessCpuMillis() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return ts.tv_sec * 1e3 + ts.tv_nsec / 1e6;
+}
+
+TEST(PoolDispatchTest, IdlePoolParks) {
+  runtime::SetNumThreads(4);
+  ASSERT_TRUE(ParallelForCoversOnce(1000));
+  // Three helpers that kept spinning would burn ~150 ms of CPU here; parked
+  // helpers burn none once their ~50 us budget runs out.
+  const double before = ProcessCpuMillis();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(ProcessCpuMillis() - before, 10.0);
+  runtime::SetNumThreads(0);
+}
+
+TEST(PoolDispatchTest, SlotReuseAfterThrowAcrossTwoCallers) {
+  runtime::SetNumThreads(4);
+  EXPECT_THROW(runtime::ParallelFor(0, 64, 1,
+                                    [](int64_t, int64_t) {
+                                      STWA_FAIL("chunk failure");
+                                    }),
+               stwa::Error);
+  EXPECT_THROW(runtime::RunRegions(4,
+                                   [](int64_t i) {
+                                     if (i == 2) STWA_FAIL("region failure");
+                                   }),
+               stwa::Error);
+  // Back-to-back regions of varied chunk counts from two callers at once:
+  // no region may see another's body, counters or error.
+  std::atomic<int> failures{0};
+  auto burst = [&](int salt) {
+    try {
+      for (int i = 0; i < 1000; ++i) {
+        const bool ok = i % 2 == 0
+                            ? ParallelForCoversOnce(1 + (i * 7 + salt) % 97)
+                            : RunRegionsCoversOnce(2 + (i + salt) % 11);
+        if (!ok) ++failures;
+      }
+    } catch (...) {
+      ++failures;
+    }
+  };
+  std::thread other(burst, 3);
+  burst(0);
+  other.join();
+  EXPECT_EQ(failures.load(), 0);
+  runtime::SetNumThreads(0);
+}
+
+TEST(PoolDispatchTest, ResizeJoinsSpinningHelpers) {
+  for (int threads : {4, 2, 4}) {
+    runtime::SetNumThreads(threads);
+    ASSERT_EQ(runtime::NumThreads(), threads);
+    // The resize lands right after a burst, while helpers still spin.
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(ParallelForCoversOnce(257)) << threads << " " << i;
+      ASSERT_TRUE(RunRegionsCoversOnce(9)) << threads << " " << i;
+    }
+  }
+  runtime::SetNumThreads(0);
 }
 
 // --- Parallel kernels == serial kernels ----------------------------------
