@@ -17,7 +17,7 @@
 // accumulator, which is exact — so packed and row results are
 // bit-identical there, equal to a scalar loop accumulating with
 // simd::MulAddRef. The NT dot kernel distributes k across fixed lanes
-// instead (compared under tolerance against references). All tails use
+// instead (pinned bitwise against a mirror of its lane tree). All tails use
 // partial vector loads/stores, so results never depend on chunk
 // boundaries or thread count. Kernel selection depends only on the shape.
 

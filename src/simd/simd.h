@@ -12,12 +12,16 @@
 // Determinism contract (DESIGN.md §4e): every Vec operation is
 // lane-independent except the Reduce* helpers, which combine lanes in a
 // fixed pairwise tree. Kernels built on Vec must handle ragged tails with
-// LoadPartial/StorePartial (the same vector instructions on a padded
-// stack copy) rather than scalar remainder loops — ParallelFor chunk
-// boundaries move with the thread count, and only lane-independent tails
-// keep results bit-identical across chunkings. Which values the pad lanes
-// hold never matters: they are masked off by StorePartial/MaskFirstN, or
-// chosen as the reduction identity (0 for add with mul/fma, -inf for max).
+// LoadPartial/StorePartial/MaskFirstN rather than scalar remainder loops —
+// ParallelFor chunk boundaries move with the thread count, and only
+// lane-independent tails keep results bit-identical across chunkings. On
+// the AVX2 tier the three helpers are single masked instructions
+// (maskload/maskstore with a lane mask from a static table, one blendv
+// for a pad or fill); masked lanes neither fault nor write. The other
+// tiers have no masked load and go through a padded stack copy. Either
+// way every lane holds the same bits. Which values the pad lanes hold
+// never matters: they are masked off by StorePartial/MaskFirstN, or chosen
+// as the reduction identity (0 for add with mul/fma, -inf for max).
 //
 // Within one build configuration results are bit-identical across thread
 // counts, pool on/off and plan on/off. Across build configurations
@@ -27,6 +31,7 @@
 #ifndef STWA_SIMD_SIMD_H_
 #define STWA_SIMD_SIMD_H_
 
+#include <bit>
 #include <cmath>
 #include <concepts>
 #include <cstdint>
@@ -264,12 +269,48 @@ constexpr bool kHasFma = false;
 
 #endif
 
-// --- ISA-independent helpers (built on Load/Store only) ------------------
+// --- Ragged-tail helpers --------------------------------------------------
+//
+// LoadPartial loads the first `n` floats of `p` (0 <= n <= kWidth) into the
+// low lanes; the remaining lanes hold `pad` and memory past p + n is never
+// read. StorePartial stores the first `n` lanes of `v` to `p` and leaves
+// memory past p + n untouched. MaskFirstN replaces lanes [n, kWidth) with
+// `fill`, to mask ragged-tail pad lanes out of a reduction whose identity
+// is `fill`. Pads and fills keep their exact bits (-0.0f, -inf, NaN).
 
-/// Loads the first `n` floats of `p` (n <= kWidth) into the low lanes; the
-/// remaining lanes hold `pad`. Same vector instructions as a full Load on
-/// a padded stack copy, so downstream lane-independent ops stay
-/// bit-identical regardless of where a chunk boundary fell.
+#if defined(STWA_SIMD_AVX2)
+
+namespace internal {
+// Eight all-ones lanes then eight zero lanes (one cache line): the 8 ints
+// starting at kTailMask + 8 - n are the lane mask selecting the first n
+// lanes.
+alignas(64) inline constexpr int32_t kTailMask[16] = {
+    -1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0};
+
+inline __m256i TailMask(int64_t n) {
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kTailMask + Vec::kWidth - n));
+}
+}  // namespace internal
+
+inline Vec LoadPartial(const float* p, int64_t n, float pad = 0.0f) {
+  const __m256i mask = internal::TailMask(n);
+  const __m256 v = _mm256_maskload_ps(p, mask);  // masked lanes read as +0
+  if (std::bit_cast<uint32_t>(pad) == 0) return {v};
+  return {_mm256_blendv_ps(_mm256_set1_ps(pad), v, _mm256_castsi256_ps(mask))};
+}
+
+inline void StorePartial(Vec v, float* p, int64_t n) {
+  _mm256_maskstore_ps(p, internal::TailMask(n), v.v);
+}
+
+inline Vec MaskFirstN(Vec v, int64_t n, float fill = 0.0f) {
+  return {_mm256_blendv_ps(_mm256_set1_ps(fill), v.v,
+                           _mm256_castsi256_ps(internal::TailMask(n)))};
+}
+
+#else
+
 inline Vec LoadPartial(const float* p, int64_t n, float pad = 0.0f) {
   alignas(64) float tmp[Vec::kWidth];
   for (int64_t i = 0; i < Vec::kWidth; ++i) tmp[i] = pad;
@@ -277,22 +318,20 @@ inline Vec LoadPartial(const float* p, int64_t n, float pad = 0.0f) {
   return Vec::Load(tmp);
 }
 
-/// Stores the first `n` lanes of `v` (n <= kWidth) to `p`; pad lanes are
-/// dropped.
 inline void StorePartial(Vec v, float* p, int64_t n) {
   alignas(64) float tmp[Vec::kWidth];
   v.Store(tmp);
   std::memcpy(p, tmp, static_cast<size_t>(n) * sizeof(float));
 }
 
-/// Replaces lanes [n, kWidth) with `fill` — used to mask ragged-tail pad
-/// lanes out of a reduction whose identity is `fill`.
 inline Vec MaskFirstN(Vec v, int64_t n, float fill = 0.0f) {
   alignas(64) float tmp[Vec::kWidth];
   v.Store(tmp);
   for (int64_t i = n; i < Vec::kWidth; ++i) tmp[i] = fill;
   return Vec::Load(tmp);
 }
+
+#endif
 
 /// Sum of all lanes in a fixed pairwise tree: width 8 combines as
 /// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)); width 4 as (l0+l1)+(l2+l3).

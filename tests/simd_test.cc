@@ -1,11 +1,16 @@
 // SIMD kernel layer tests (src/simd).
 //
 // Covers the determinism contract from DESIGN.md §4e:
+//   * the ragged-tail helpers (LoadPartial / StorePartial / MaskFirstN)
+//     against their scalar definition byte for byte, including tails that
+//     end on the last readable float before a PROT_NONE page;
 //   * GEMM (NN / NT / TN) against a naive reference over a shape grid that
 //     exercises every tail case and both the row and packed kernels. On
-//     SIMD builds the NN/TN comparisons are BIT-exact against a
-//     k-ascending simd::MulAddRef chain — the kernels promise that exact
-//     accumulation order regardless of blocking;
+//     SIMD builds every comparison is BIT-exact: NN/TN (and NT on the
+//     packed path) against a k-ascending simd::MulAddRef chain — the
+//     kernels promise that exact accumulation order regardless of
+//     blocking — and the NT row kernel against a mirror of its fixed lane
+//     accumulators and ReduceAdd tree;
 //   * batched MatMul vs the rank-2 entry point (row kernel vs packed
 //     kernel must agree bitwise);
 //   * vectorized transcendentals (Exp/Tanh/Sigmoid) against libm under
@@ -14,8 +19,15 @@
 //   * bit-identity across thread counts, including a short end-to-end
 //     ST-WA Fit at 1 vs 4 workers.
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +51,99 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
          (a.size() == 0 || std::memcmp(a.data(), b.data(),
                                        static_cast<size_t>(a.size()) *
                                            sizeof(float)) == 0);
+}
+
+// --- Ragged-tail helpers ---------------------------------------------------
+
+constexpr int64_t kW = simd::Vec::kWidth;
+
+std::array<float, kW> Lanes(simd::Vec v) {
+  std::array<float, kW> out;
+  v.Store(out.data());
+  return out;
+}
+
+bool SameBits(float a, float b) {
+  return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
+}
+
+const std::vector<float> kPads = {0.0f, -0.0f,
+                                  -std::numeric_limits<float>::infinity(),
+                                  std::numeric_limits<float>::quiet_NaN()};
+
+TEST(SimdTailTest, HelpersMatchScalarDefinitionBitwise) {
+  std::array<float, kW> src;
+  for (int64_t i = 0; i < kW; ++i) src[i] = 1.5f - static_cast<float>(i);
+  src[0] = -0.0f;  // a live -0 lane must survive as -0, too
+  const simd::Vec v = simd::Vec::Load(src.data());
+  for (int64_t n = 0; n <= kW; ++n) {
+    for (float pad : kPads) {
+      const std::array<float, kW> loaded =
+          Lanes(simd::LoadPartial(src.data(), n, pad));
+      const std::array<float, kW> masked =
+          Lanes(simd::MaskFirstN(v, n, pad));
+      for (int64_t i = 0; i < kW; ++i) {
+        const float want = i < n ? src[i] : pad;
+        EXPECT_TRUE(SameBits(loaded[i], want))
+            << "LoadPartial n=" << n << " pad=" << pad << " lane " << i;
+        EXPECT_TRUE(SameBits(masked[i], want))
+            << "MaskFirstN n=" << n << " fill=" << pad << " lane " << i;
+      }
+    }
+  }
+}
+
+TEST(SimdTailTest, StorePartialLeavesFloatsPastNUntouched) {
+  std::array<float, kW> src;
+  for (int64_t i = 0; i < kW; ++i) src[i] = 0.25f * static_cast<float>(i + 1);
+  const simd::Vec v = simd::Vec::Load(src.data());
+  const float sentinel = std::bit_cast<float>(0x7FC0BEEFu);  // a NaN payload
+  for (int64_t n = 0; n <= kW; ++n) {
+    std::array<float, 3 * kW> dst;
+    dst.fill(sentinel);
+    simd::StorePartial(v, dst.data() + kW, n);
+    for (int64_t i = 0; i < 3 * kW; ++i) {
+      const bool live = i >= kW && i < kW + n;
+      EXPECT_TRUE(SameBits(dst[i], live ? src[i - kW] : sentinel))
+          << "n=" << n << " slot " << i;
+    }
+  }
+}
+
+TEST(SimdTailTest, TailEndingAtProtectedPageNeitherFaultsNorWrites) {
+  // Two pages; the second is PROT_NONE. A tail of n floats that ends on
+  // the last float of the readable page must load and store without
+  // touching the guard page (a full-width access would fault).
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  void* mem = mmap(nullptr, 2 * page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  ASSERT_EQ(mprotect(static_cast<char*>(mem) + page, page, PROT_NONE), 0);
+  float* end = reinterpret_cast<float*>(static_cast<char*>(mem) + page);
+  for (int64_t i = 1; i <= kW; ++i) end[-i] = static_cast<float>(i);
+  std::array<float, kW> ones;
+  ones.fill(1.0f);
+  const simd::Vec v = simd::Vec::Load(ones.data());
+  for (int64_t n = 0; n <= kW; ++n) {
+    for (float pad : kPads) {
+      const std::array<float, kW> loaded =
+          Lanes(simd::LoadPartial(end - n, n, pad));
+      for (int64_t i = 0; i < kW; ++i) {
+        EXPECT_TRUE(SameBits(loaded[i], i < n ? end[i - n] : pad))
+            << "n=" << n << " lane " << i;
+      }
+    }
+  }
+  for (int64_t n = 0; n <= kW; ++n) {
+    simd::StorePartial(v, end - n, n);
+    for (int64_t i = 1; i <= kW; ++i) {
+      // The last n slots now hold 1.0; earlier tails were shorter, so
+      // the slots before them still hold their initial values.
+      const float want = i <= n ? 1.0f : static_cast<float>(i);
+      EXPECT_EQ(end[-i], want) << "n=" << n << " slot end-" << i;
+    }
+  }
+  ASSERT_EQ(munmap(mem, 2 * page), 0);
 }
 
 // --- Naive GEMM references ------------------------------------------------
@@ -73,6 +178,61 @@ Tensor RefMatMulNT(const Tensor& a, const Tensor& b, int64_t m, int64_t n,
                               acc);
       }
       c.data()[i * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+// Mirrors GemmRowsNT's dot kernel lane for lane: the product for index kk
+// lands in lane kk mod kW of accumulator (kk / kW) mod 4 inside the
+// 4*kW-wide blocks, and of accumulator 0 in the trailing kW-wide blocks
+// and the zero-padded tail (fma(0, 0, acc) runs on the pad lanes too).
+// The accumulators are summed lane-wise as (a0 + a1) + (a2 + a3) and the
+// lanes reduced in ReduceAdd's fixed tree.
+float ReduceAddRef(const float* t) {
+  if constexpr (kW == 8) {
+    return ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]));
+  } else if constexpr (kW == 4) {
+    return (t[0] + t[1]) + (t[2] + t[3]);
+  } else {
+    return t[0];
+  }
+}
+
+Tensor RefMatMulNTLanes(const Tensor& a, const Tensor& b, int64_t m,
+                        int64_t n, int64_t k) {
+  Tensor c(Shape{m, n});
+  for (int64_t i = 0; i < m; ++i) {
+    const float* ar = a.data() + i * k;
+    for (int64_t j = 0; j < n; ++j) {
+      const float* br = b.data() + j * k;
+      float acc[4][kW] = {};
+      int64_t kk = 0;
+      for (; kk + 4 * kW <= k; kk += 4 * kW) {
+        for (int64_t q = 0; q < 4; ++q) {
+          for (int64_t l = 0; l < kW; ++l) {
+            const int64_t x = kk + q * kW + l;
+            acc[q][l] = simd::MulAddRef(ar[x], br[x], acc[q][l]);
+          }
+        }
+      }
+      for (; kk + kW <= k; kk += kW) {
+        for (int64_t l = 0; l < kW; ++l) {
+          acc[0][l] = simd::MulAddRef(ar[kk + l], br[kk + l], acc[0][l]);
+        }
+      }
+      if (kk < k) {
+        for (int64_t l = 0; l < kW; ++l) {
+          const bool live = kk + l < k;
+          acc[0][l] = simd::MulAddRef(live ? ar[kk + l] : 0.0f,
+                                      live ? br[kk + l] : 0.0f, acc[0][l]);
+        }
+      }
+      float lanes[kW];
+      for (int64_t l = 0; l < kW; ++l) {
+        lanes[l] = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
+      }
+      c.data()[i * n + j] = ReduceAddRef(lanes);
     }
   }
   return c;
@@ -136,11 +296,14 @@ TEST(SimdGemmTest, TransposedVariantsMatchReferenceOverGrid) {
         Tensor bt = Tensor::Randn({n, k}, rng);      // NT rhs: [n, k]
         Tensor at = Tensor::Randn({k, m}, rng);      // TN lhs: [k, m]
         Tensor b = Tensor::Randn({k, n}, rng);       // TN rhs: [k, n]
-        // NT uses lane-accumulator dot products (a different but fixed
-        // summation order), so it is tolerance-compared even on SIMD
-        // builds; TN keeps the scalar chain and is bit-exact there.
-        ExpectClose(RefMatMulNT(a, bt, m, n, k), ops::MatMulNT(a, bt),
-                    false, "NT");
+        // The NT row kernel sums k in fixed lane accumulators; the packed
+        // path keeps the k-ascending chain. Both are bit-exact on SIMD
+        // builds against the reference for the path the shape takes; TN
+        // keeps the scalar chain on either path.
+        const Tensor nt_ref = simd::GemmUsesPackedPath(m, n, k)
+                                  ? RefMatMulNT(a, bt, m, n, k)
+                                  : RefMatMulNTLanes(a, bt, m, n, k);
+        ExpectClose(nt_ref, ops::MatMulNT(a, bt), simd::kEnabled, "NT");
         ExpectClose(RefMatMulTN(at, b, m, n, k), ops::MatMulTN(at, b),
                     simd::kEnabled, "TN");
       }
@@ -151,10 +314,13 @@ TEST(SimdGemmTest, TransposedVariantsMatchReferenceOverGrid) {
 TEST(SimdGemmTest, BatchedMatMulBitMatchesRank2Kernel) {
   // The batched driver dispatches per-row GemmRows* kernels while the
   // rank-2 entry point may take the packed kernel; both must produce the
-  // same bits (identical per-element accumulation chains).
+  // same bits (identical per-element accumulation chains). The last rows
+  // are the serving shapes: the 12-wide forecast head and the window
+  // attention products over windows of 3 and 2.
   Rng rng(103);
   for (auto [m, k, n] : std::vector<std::array<int64_t, 3>>{
-           {5, 7, 3}, {64, 64, 64}, {65, 33, 17}}) {
+           {5, 7, 3}, {64, 64, 64}, {65, 33, 17}, {64, 256, 12},
+           {1, 8, 3}, {1, 8, 2}, {1, 3, 8}, {1, 2, 8}}) {
     Tensor a = Tensor::Randn({2, m, k}, rng);
     Tensor b = Tensor::Randn({2, k, n}, rng);
     Tensor batched = ops::MatMul(a, b);
