@@ -21,26 +21,18 @@ using ag::Var;
 using simd::Vec;
 
 // --- Vectorized backward functors ----------------------------------------
-// Dual-overload functors: the templated UnaryMap/BinaryMap kernels pick
-// the Vec overload when SIMD is enabled (simd::kIsVecUnary/kIsVecBinary)
-// and the scalar overload — the legacy lambda expression verbatim —
-// otherwise, so the STWA_NO_SIMD build stays bit-identical to the
-// pre-SIMD library.
+// The templated UnaryMap/BinaryMap kernels run these through their Vec
+// loop on every tier (simd::kIsVecUnary/kIsVecBinary).
 
 struct BwdSqrtFn {
-  float operator()(float g, float v) const { return 0.5f * g / v; }
   Vec operator()(Vec g, Vec v) const { return Vec::Broadcast(0.5f) * g / v; }
 };
 
 struct BwdSquareFn {
-  float operator()(float g, float x) const { return g * 2.0f * x; }
   Vec operator()(Vec g, Vec x) const { return g * Vec::Broadcast(2.0f) * x; }
 };
 
 struct BwdAbsFn {
-  float operator()(float g, float x) const {
-    return x > 0.0f ? g : (x < 0.0f ? -g : 0.0f);
-  }
   Vec operator()(Vec g, Vec x) const {
     const Vec z = Vec::Zero();
     return Vec::Select(Vec::CmpGt(x, z), g,
@@ -49,21 +41,18 @@ struct BwdAbsFn {
 };
 
 struct BwdTanhFn {
-  float operator()(float g, float v) const { return g * (1.0f - v * v); }
   Vec operator()(Vec g, Vec v) const {
     return g * (Vec::Broadcast(1.0f) - v * v);
   }
 };
 
 struct BwdSigmoidFn {
-  float operator()(float g, float v) const { return g * v * (1.0f - v); }
   Vec operator()(Vec g, Vec v) const {
     return g * v * (Vec::Broadcast(1.0f) - v);
   }
 };
 
 struct BwdReluFn {
-  float operator()(float g, float x) const { return x > 0.0f ? g : 0.0f; }
   Vec operator()(Vec g, Vec x) const {
     return Vec::Select(Vec::CmpGt(x, Vec::Zero()), g, Vec::Zero());
   }
@@ -72,10 +61,6 @@ struct BwdReluFn {
 /// Huber value: 0.5 e^2 inside |e| <= delta, linear outside.
 struct FwdHuberFn {
   float delta;
-  float operator()(float e) const {
-    const float a = std::fabs(e);
-    return a <= delta ? 0.5f * e * e : delta * (a - 0.5f * delta);
-  }
   Vec operator()(Vec e) const {
     const Vec vd = Vec::Broadcast(delta);
     const Vec half = Vec::Broadcast(0.5f);
@@ -86,13 +71,9 @@ struct FwdHuberFn {
 };
 
 /// Huber derivative (times incoming grad): e inside, delta*sign(e) outside
-/// (|e| > delta implies e != 0, so CopySign matches the scalar ternary).
+/// (|e| > delta implies e != 0, so CopySign gives delta*sign(e)).
 struct BwdHuberFn {
   float delta;
-  float operator()(float g, float e) const {
-    const float de = std::fabs(e) <= delta ? e : (e > 0.0f ? delta : -delta);
-    return g * de;
-  }
   Vec operator()(Vec g, Vec e) const {
     const Vec vd = Vec::Broadcast(delta);
     const Vec de =

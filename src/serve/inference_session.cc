@@ -78,8 +78,7 @@ void InferenceSession::RegisterLowpWeights() {
     }
     lowp::Register(t.data(),
                    simd::PackWeights(t.data(), k, n, /*trans=*/false,
-                                     config_.precision, scales,
-                                     /*bf16_trunc=*/false));
+                                     config_.precision, scales));
     lowp_keys_.push_back(t.data());
   }
 }

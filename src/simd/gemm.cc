@@ -311,8 +311,7 @@ void GemmRowsTN(const float* a, const float* b, float* c, int64_t i0,
 }
 
 bool GemmUsesPackedPath(int64_t m, int64_t n, int64_t k) {
-  return kEnabled && m >= kGemmMR && n >= kGemmNR &&
-         m * n * k >= kPackedMinFlops;
+  return m >= kGemmMR && n >= kGemmNR && m * n * k >= kPackedMinFlops;
 }
 
 void Gemm2D(const float* a, const float* b, float* c, int64_t m, int64_t n,

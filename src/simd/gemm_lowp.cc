@@ -499,8 +499,7 @@ std::vector<float> Int8ChannelScales(const float* b, int64_t k, int64_t n,
 std::shared_ptr<PackedWeights> PackWeights(const float* b, int64_t k,
                                            int64_t n, bool trans,
                                            Precision tier,
-                                           const std::vector<float>* scales,
-                                           bool bf16_trunc) {
+                                           const std::vector<float>* scales) {
   STWA_CHECK(tier != Precision::kFp32,
              "PackWeights: fp32 weights are not packed — the fp32 GEMM "
              "path reads them in place");
@@ -521,8 +520,7 @@ std::shared_ptr<PackedWeights> PackWeights(const float* b, int64_t k,
       uint16_t* col = w->bf16.data() + (j / kLowpNR) * k * kLowpNR +
                       Bf16PanelWord(j % kLowpNR);
       for (int64_t kk = 0; kk < k; ++kk) {
-        const float v = src(kk, j);
-        col[kk * kLowpNR] = bf16_trunc ? Bf16FromF32Trunc(v) : Bf16FromF32(v);
+        col[kk * kLowpNR] = Bf16FromF32(src(kk, j));
       }
     }
     return w;

@@ -86,13 +86,12 @@ std::vector<float> Int8ChannelScales(const float* b, int64_t k, int64_t n,
 /// Packs a weight buffer into panels for `tier` (kBf16 or kInt8).
 /// For int8, `scales` supplies baked per-channel scales (length n); pass
 /// nullptr to compute them from the buffer (bit-identical to the baked
-/// path — same formula over the same floats). For bf16, `bf16_trunc`
-/// selects truncate-pack over the round-to-nearest-even default.
+/// path — same formula over the same floats). bf16 packs round to
+/// nearest-even.
 std::shared_ptr<PackedWeights> PackWeights(const float* b, int64_t k,
                                            int64_t n, bool trans,
                                            Precision tier,
-                                           const std::vector<float>* scales,
-                                           bool bf16_trunc);
+                                           const std::vector<float>* scales);
 
 /// C[m, n] = op(A) @ op(B) with op(B) prepacked; op(A) is a[m, k] (or
 /// a[k, m] with trans_a). Writes every C element (safe on uninit storage).

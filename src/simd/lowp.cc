@@ -25,17 +25,5 @@ Precision ParsePrecision(const std::string& name) {
               "\"; expected fp32, bf16 or int8");
 }
 
-int64_t WeightBytes(Precision p) {
-  switch (p) {
-    case Precision::kFp32:
-      return 4;
-    case Precision::kBf16:
-      return 2;
-    case Precision::kInt8:
-      return 1;
-  }
-  STWA_FAIL("unknown Precision value ", static_cast<int>(p));
-}
-
 }  // namespace simd
 }  // namespace stwa

@@ -14,16 +14,12 @@
 // operands registered by a serving session (tensor/lowp_cache.h) and never
 // change training numerics.
 //
-// bf16 rounding: `Bf16FromF32` rounds to nearest-even (the default pack
-// mode); `Bf16FromF32Trunc` truncates toward zero. Truncation is cheaper
-// but biased — every mantissa is shortened toward zero, so dot products
-// lose magnitude systematically (~2^-10 relative per weight), and the bias
-// compounds across stacked layers instead of cancelling. RNE is unbiased
-// and keeps the serving accuracy delta an order of magnitude smaller for
-// the same storage cost, which is why it is the pack default
-// (STWA_BF16_TRUNC=1 flips a session to truncate-pack for A/B runs; the
-// lowp unit tests quantify both). NaNs are quietened before truncation so
-// a truncated NaN cannot become Inf.
+// bf16 rounding: `Bf16FromF32` rounds to nearest-even. Truncation would be
+// cheaper but biased — every mantissa shortened toward zero, so dot
+// products lose magnitude systematically and the bias compounds across
+// stacked layers instead of cancelling. RNE is unbiased at the same
+// storage cost. NaNs are quietened before the shift so a NaN cannot
+// become Inf.
 
 #ifndef STWA_SIMD_LOWP_H_
 #define STWA_SIMD_LOWP_H_
@@ -46,9 +42,6 @@ const char* PrecisionName(Precision p);
 /// Throws stwa::Error on anything else, listing the accepted values.
 Precision ParsePrecision(const std::string& name);
 
-/// Bytes one weight scalar occupies in a tier's packed panels (4/2/1).
-int64_t WeightBytes(Precision p);
-
 // --- bf16 ----------------------------------------------------------------
 
 /// binary32 -> bf16 (upper 16 bits), round-to-nearest-even.
@@ -63,16 +56,6 @@ inline uint16_t Bf16FromF32(float x) {
   // Round to nearest-even on bit 16: add 0x7FFF + lsb-of-result.
   const uint32_t lsb = (bits >> 16) & 1u;
   return static_cast<uint16_t>((bits + 0x7FFFu + lsb) >> 16);
-}
-
-/// binary32 -> bf16, truncation toward zero (drop the low 16 bits).
-inline uint16_t Bf16FromF32Trunc(float x) {
-  uint32_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  if ((bits & 0x7FFFFFFFu) > 0x7F800000u) {
-    return static_cast<uint16_t>((bits >> 16) | 0x0040u);
-  }
-  return static_cast<uint16_t>(bits >> 16);
 }
 
 /// bf16 -> binary32 (exact: shift back into the upper half).

@@ -4,10 +4,9 @@
 // One ISA tier is chosen per build (widest first):
 //   AVX2+FMA (8 lanes) -> SSE2 (4 lanes, fma = mul+add) -> NEON/aarch64
 //   (4 lanes) -> scalar (1 lane).
-// -DSTWA_NO_SIMD=1 (CMake option STWA_NO_SIMD) forces the scalar tier for
-// A/B runs; under it kEnabled is false and tensor/ops.cc compiles its
-// legacy scalar kernels, so a scalar build is bit-identical to the
-// pre-SIMD library.
+// -DSTWA_NO_SIMD=1 (CMake option STWA_NO_SIMD) forces the 1-lane tier,
+// the only one on hosts with neither SSE2 nor NEON. Every tier runs the
+// same kernels; only Vec::kWidth and the lane operations differ.
 //
 // Determinism contract (DESIGN.md §4e): every Vec operation is
 // lane-independent except the Reduce* helpers, which combine lanes in a
@@ -111,7 +110,6 @@ struct Vec {
 };
 
 inline const char* IsaName() { return "avx2-fma"; }
-constexpr bool kEnabled = true;
 /// True when Vec::Fma contracts to a single-rounding hardware FMA (test
 /// references must accumulate with std::fmaf to match bitwise).
 constexpr bool kHasFma = true;
@@ -166,7 +164,6 @@ struct Vec {
 };
 
 inline const char* IsaName() { return "sse2"; }
-constexpr bool kEnabled = true;
 constexpr bool kHasFma = false;
 
 #elif defined(STWA_SIMD_NEON)
@@ -214,10 +211,18 @@ struct Vec {
 };
 
 inline const char* IsaName() { return "neon"; }
-constexpr bool kEnabled = true;
 constexpr bool kHasFma = true;
 
 #else  // scalar tier
+
+// On a target with a hardware FMA the compiler may contract a plain
+// `a*b + c` into it at some call sites and not others; Fma then calls
+// fmaf explicitly, so every site (and MulAddRef) rounds once.
+#if defined(__FP_FAST_FMAF)
+constexpr bool kHasFma = true;
+#else
+constexpr bool kHasFma = false;
+#endif
 
 struct Vec {
   float v;
@@ -235,7 +240,13 @@ struct Vec {
 
   static Vec Min(Vec a, Vec b) { return {a.v < b.v ? a.v : b.v}; }
   static Vec Max(Vec a, Vec b) { return {a.v > b.v ? a.v : b.v}; }
-  static Vec Fma(Vec a, Vec b, Vec c) { return {a.v * b.v + c.v}; }
+  static Vec Fma(Vec a, Vec b, Vec c) {
+    if constexpr (kHasFma) {
+      return {std::fmaf(a.v, b.v, c.v)};
+    } else {
+      return {a.v * b.v + c.v};
+    }
+  }
   static Vec Sqrt(Vec a) { return {std::sqrt(a.v)}; }
   static Vec Abs(Vec a) { return {std::fabs(a.v)}; }
   static Vec CopySign(Vec mag, Vec sgn) {
@@ -264,8 +275,6 @@ struct Vec {
 };
 
 inline const char* IsaName() { return "scalar"; }
-constexpr bool kEnabled = false;
-constexpr bool kHasFma = false;
 
 #endif
 
@@ -372,9 +381,9 @@ inline float MulAddRef(float a, float b, float acc) {
 
 // --- Functor introspection ----------------------------------------------
 //
-// The templated elementwise maps in tensor/ops.h vectorize automatically
-// when their functor also accepts Vec operands; plain scalar lambdas (and
-// the std::function escape hatches) keep the scalar loop.
+// The templated elementwise maps in tensor/ops.h take the Vec loop when
+// their functor also accepts Vec operands; plain scalar lambdas (and the
+// std::function escape hatches) keep the scalar loop.
 
 template <typename Fn>
 inline constexpr bool kIsVecUnary =

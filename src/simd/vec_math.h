@@ -1,24 +1,20 @@
-// Vectorized transcendental kernels (exp / tanh / sigmoid) plus the dual
-// scalar+vector functors tensor/ops.cc and ir/registry.cc feed to the
-// elementwise maps.
+// Vectorized transcendental kernels (exp / tanh / sigmoid) plus the
+// functors tensor/ops.cc feeds to the elementwise maps.
 //
 // ExpV is the classic Cephes single-precision expf: range-clamp, split
 // x = n*ln2 + r with a Cody-Waite two-constant reduction, a degree-5
 // polynomial for e^r on |r| <= ln2/2, and a 2^n scale built straight in
 // the exponent field (Vec::Pow2). Max relative error is ~2 ulp across the
 // clamp range, and ExpV(0) == 1 exactly (the polynomial collapses to
-// 1 + 0), so SigmoidV(0) == 0.5 exactly like the scalar kernel.
+// 1 + 0), so SigmoidV(0) == 0.5 exactly.
 //
 // All three are lane-independent, so the partial-vector tail rule of
-// simd.h applies unchanged. On the scalar build (kEnabled == false) the
-// functors' scalar overloads are the only instantiated path and match the
-// legacy kernels expression-for-expression — scalar builds stay
-// bit-identical to the pre-SIMD library.
+// simd.h applies unchanged.
 
 #ifndef STWA_SIMD_VEC_MATH_H_
 #define STWA_SIMD_VEC_MATH_H_
 
-#include <cmath>
+#include <algorithm>
 
 #include "simd/simd.h"
 
@@ -63,62 +59,52 @@ inline Vec SigmoidV(Vec x) {
          (Vec::Broadcast(1.0f) + ExpV(Vec::Zero() - x));
 }
 
-// --- Dual scalar/vector functors ----------------------------------------
+// --- Elementwise functors -------------------------------------------------
 //
-// The scalar overload is the legacy kernel expression (what scalar builds
-// compile); the Vec overload is what SIMD builds compile through the
-// vectorized maps. Arithmetic functors are bit-identical between the two;
-// the transcendental ones differ in low-order bits (std:: vs polynomial).
+// Every tier, the 1-lane one included, runs these through the vectorized
+// maps. Unary functors take a Vec only. Binary functors also take two
+// floats, for the generic-stride broadcast loop in tensor/ops.cc; both
+// overloads compute the same arithmetic.
 
 struct ExpOp {
-  float operator()(float x) const { return std::exp(x); }
   Vec operator()(Vec x) const { return ExpV(x); }
 };
 
 struct TanhOp {
-  float operator()(float x) const { return std::tanh(x); }
   Vec operator()(Vec x) const { return TanhV(x); }
 };
 
 struct SigmoidOp {
-  float operator()(float x) const { return 1.0f / (1.0f + std::exp(-x)); }
   Vec operator()(Vec x) const { return SigmoidV(x); }
 };
 
 struct SqrtOp {
-  float operator()(float x) const { return std::sqrt(x); }
   Vec operator()(Vec x) const { return Vec::Sqrt(x); }
 };
 
 struct AbsOp {
-  float operator()(float x) const { return std::fabs(x); }
   Vec operator()(Vec x) const { return Vec::Abs(x); }
 };
 
 struct NegOp {
-  float operator()(float x) const { return -x; }
   Vec operator()(Vec x) const { return Vec::Zero() - x; }
 };
 
 struct SquareOp {
-  float operator()(float x) const { return x * x; }
   Vec operator()(Vec x) const { return x * x; }
 };
 
 struct ReluOp {
-  float operator()(float x) const { return x > 0.0f ? x : 0.0f; }
   Vec operator()(Vec x) const { return Vec::Max(x, Vec::Zero()); }
 };
 
 struct AddScalarOp {
   float s;
-  float operator()(float x) const { return x + s; }
   Vec operator()(Vec x) const { return x + Vec::Broadcast(s); }
 };
 
 struct MulScalarOp {
   float s;
-  float operator()(float x) const { return x * s; }
   Vec operator()(Vec x) const { return x * Vec::Broadcast(s); }
 };
 

@@ -26,9 +26,8 @@ using runtime::kMinChunkWork;
 // use partial vector loads/stores (never scalar remainder loops), lane
 // reductions combine in a fixed tree, and kernel selection depends only
 // on the shape — so within one build, results are bit-identical across
-// thread counts, pool on/off and plan on/off. On STWA_NO_SIMD builds
-// (simd::kEnabled == false) every `if constexpr` below compiles the
-// legacy scalar kernel, keeping scalar builds bit-identical to PR 4.
+// thread counts, pool on/off and plan on/off. Every tier, including the
+// 1-lane STWA_NO_SIMD one, runs these same kernels.
 using simd::Vec;
 constexpr int64_t kVecW = Vec::kWidth;
 
@@ -132,7 +131,7 @@ inline void VecRunWithConst(float* po, const float* row, float cv,
 template <typename Fn>
 Tensor BinaryImpl(const Tensor& a, const Tensor& b, Fn&& fn) {
   using RawFn = std::remove_cvref_t<Fn>;
-  constexpr bool kVec = simd::kEnabled && simd::kIsVecBinary<RawFn>;
+  constexpr bool kVec = simd::kIsVecBinary<RawFn>;
   if (a.shape() == b.shape()) {
     Tensor out = Tensor::Uninit(a.shape());
     const float* pa = a.data();
@@ -230,101 +229,10 @@ void AxisSplit(const Shape& shape, int64_t axis, int64_t* outer,
   }
 }
 
-// Matmul row kernel: accumulates A[i0:i1, :] * B into O[i0:i1, :]. Large k
-// is blocked so a panel of B stays hot in cache while it is reused across
-// the rows of the chunk; small k skips the blocking pass so each out row is
-// written exactly once. Within one output element the k accumulation order
-// stays ascending either way, identical to the naive i-k-j loop, so
-// blocking does not change the result. The inner j loop is contiguous on
-// both B and O, which auto-vectorises well.
-void MatMulRowRange(const float* __restrict__ A, const float* __restrict__ B,
-                    float* __restrict__ O, int64_t i0, int64_t i1, int64_t k,
-                    int64_t n) {
-  constexpr int64_t kBlockK = 512;
-  if (k <= kBlockK) {
-    // Single k panel: plain i-k-j sweep, one write pass over each out row.
-    for (int64_t i = i0; i < i1; ++i) {
-      float* __restrict__ out_row = O + i * n;
-      const float* __restrict__ a_row = A + i * k;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float aik = a_row[kk];
-        if (aik == 0.0f) continue;
-        const float* __restrict__ b_row = B + kk * n;
-        for (int64_t j = 0; j < n; ++j) out_row[j] += aik * b_row[j];
-      }
-    }
-    return;
-  }
-  for (int64_t kb = 0; kb < k; kb += kBlockK) {
-    const int64_t ke = std::min(k, kb + kBlockK);
-    for (int64_t i = i0; i < i1; ++i) {
-      float* __restrict__ out_row = O + i * n;
-      const float* __restrict__ a_row = A + i * k;
-      for (int64_t kk = kb; kk < ke; ++kk) {
-        const float aik = a_row[kk];
-        if (aik == 0.0f) continue;
-        const float* __restrict__ b_row = B + kk * n;
-        for (int64_t j = 0; j < n; ++j) out_row[j] += aik * b_row[j];
-      }
-    }
-  }
-}
-
 // Row grain so one chunk holds at least ~kMinChunkWork multiply-adds.
 int64_t MatMulRowGrain(int64_t k, int64_t n) {
   const int64_t flops_per_row = std::max<int64_t>(1, k * n);
   return std::max<int64_t>(1, kMinChunkWork / flops_per_row);
-}
-
-// Row kernels for the transposed-operand products. Both write each output
-// element exactly once (safe on Uninit storage) and accumulate k in
-// ascending order, so results are chunking-independent.
-
-// O[i, j] = dot(A[i, :], B[j, :]); A is [m, k], B is [n, k]. Both reads
-// are contiguous along k — the transpose never materialises. The dot uses
-// 8 independent partial sums (a single accumulator is a serial FP
-// dependency chain the compiler may not vectorise under strict IEEE
-// semantics) combined in a fixed order, so the result is still
-// independent of threading and chunking.
-void MatMulNTRowRange(const float* __restrict__ A, const float* __restrict__ B,
-                      float* __restrict__ O, int64_t i0, int64_t i1,
-                      int64_t k, int64_t n) {
-  constexpr int64_t kLanes = 8;
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* __restrict__ a_row = A + i * k;
-    float* __restrict__ out_row = O + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* __restrict__ b_row = B + j * k;
-      float acc[kLanes] = {0.0f};
-      int64_t kk = 0;
-      for (; kk + kLanes <= k; kk += kLanes) {
-        for (int64_t l = 0; l < kLanes; ++l) {
-          acc[l] += a_row[kk + l] * b_row[kk + l];
-        }
-      }
-      float s = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-                ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-      for (; kk < k; ++kk) s += a_row[kk] * b_row[kk];
-      out_row[j] = s;
-    }
-  }
-}
-
-// O[i, j] = sum_kk A[kk, i] * B[kk, j]; A is [k, m], B is [k, n]. Same
-// i-k-j sweep as MatMulRowRange, with A read down a column.
-void MatMulTNRowRange(const float* __restrict__ A, const float* __restrict__ B,
-                      float* __restrict__ O, int64_t i0, int64_t i1,
-                      int64_t k, int64_t m, int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    float* __restrict__ out_row = O + i * n;
-    std::fill(out_row, out_row + n, 0.0f);
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aki = A[kk * m + i];
-      if (aki == 0.0f) continue;
-      const float* __restrict__ b_row = B + kk * n;
-      for (int64_t j = 0; j < n; ++j) out_row[j] += aki * b_row[j];
-    }
-  }
 }
 
 // Shared batched driver for the transposed-operand products: broadcasts
@@ -459,27 +367,14 @@ Tensor MatMul2D(const Tensor& a, const Tensor& b) {
   // int8 panels for this weight operand (tensor/lowp_cache.h). Selection
   // depends only on the operand pointer, so eager, plan replay and
   // region-parallel replay all dispatch the same way on any thread.
+  // Both GEMMs write every element.
+  Tensor out = Tensor::Uninit(Shape{m, n});
   if (const auto pack = lowp::Find(b.data(), k, n, /*trans=*/false)) {
-    Tensor out = Tensor::Uninit(Shape{m, n});
     simd::GemmLowp(a.data(), *pack, out.data(), m, /*trans_a=*/false);
-    return out;
-  }
-  if constexpr (simd::kEnabled) {
-    // Gemm2D writes every element (packed or row path), so the output can
-    // skip the zero fill the accumulating legacy kernel needed.
-    Tensor out = Tensor::Uninit(Shape{m, n});
+  } else {
     simd::Gemm2D(a.data(), b.data(), out.data(), m, n, k,
                  /*trans_a=*/false, /*trans_b=*/false);
-    return out;
   }
-  Tensor out(Shape{m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  runtime::ParallelFor(0, m, MatMulRowGrain(k, n),
-                       [pa, pb, po, k, n](int64_t i0, int64_t i1) {
-                         MatMulRowRange(pa, pb, po, i0, i1, k, n);
-                       });
   return out;
 }
 
@@ -506,35 +401,18 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // per-batch row kernels (the NN packed and row paths share their
   // k-ascending FMA chains — SimdGemmTest pins this), and the flatten is
   // what routes nn::Linear through the packed fp32 path and the
-  // reduced-precision weight hook.
+  // reduced-precision weight hook. Every kernel below writes every element.
+  Tensor out = Tensor::Uninit(out_shape);
   if (b.rank() == 2) {
     const int64_t rows = batch_count * m;
     if (const auto pack = lowp::Find(b.data(), k, n, /*trans=*/false)) {
-      Tensor out = Tensor::Uninit(out_shape);
       simd::GemmLowp(a.data(), *pack, out.data(), rows, /*trans_a=*/false);
-      return out;
-    }
-    if constexpr (simd::kEnabled) {
-      Tensor out = Tensor::Uninit(out_shape);
+    } else {
       simd::Gemm2D(a.data(), b.data(), out.data(), rows, n, k,
                    /*trans_a=*/false, /*trans_b=*/false);
-      return out;
-    } else {
-      Tensor out(out_shape);
-      const float* pa = a.data();
-      const float* pb = b.data();
-      float* po = out.data();
-      runtime::ParallelFor(0, rows, MatMulRowGrain(k, n),
-                           [pa, pb, po, k, n](int64_t i0, int64_t i1) {
-                             MatMulRowRange(pa, pb, po, i0, i1, k, n);
-                           });
-      return out;
     }
+    return out;
   }
-  // The SIMD row kernel writes every element; the legacy kernel
-  // accumulates into zeros.
-  Tensor out = simd::kEnabled ? Tensor::Uninit(out_shape)
-                              : Tensor(out_shape);
 
   // Per-batch offsets honouring broadcasting over the batch dims.
   std::vector<int64_t> a_strides =
@@ -572,13 +450,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
             a_off += coord * as_p[d];
             b_off += coord * bs_p[d];
           }
-          if constexpr (simd::kEnabled) {
-            simd::GemmRowsNN(pa + a_off * a_mat, pb + b_off * b_mat,
-                             po + bi * o_mat, i0, i1, k, n);
-          } else {
-            MatMulRowRange(pa + a_off * a_mat, pb + b_off * b_mat,
+          simd::GemmRowsNN(pa + a_off * a_mat, pb + b_off * b_mat,
                            po + bi * o_mat, i0, i1, k, n);
-          }
           r += i1 - i0;
         }
       });
@@ -608,24 +481,16 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
       return out;
     }
   }
-  if constexpr (simd::kEnabled) {
-    if (a.rank() == 2 && b.rank() == 2 && simd::GemmUsesPackedPath(m, n, k)) {
-      Tensor out = Tensor::Uninit(Shape{m, n});
-      simd::Gemm2D(a.data(), b.data(), out.data(), m, n, k,
-                   /*trans_a=*/false, /*trans_b=*/true);
-      return out;
-    }
+  if (a.rank() == 2 && b.rank() == 2 && simd::GemmUsesPackedPath(m, n, k)) {
+    Tensor out = Tensor::Uninit(Shape{m, n});
+    simd::Gemm2D(a.data(), b.data(), out.data(), m, n, k,
+                 /*trans_a=*/false, /*trans_b=*/true);
+    return out;
   }
   return BatchedTransposedProduct(
       a, b, m, n, k,
       [k, n](const float* pa, const float* pb, float* po, int64_t i0,
-             int64_t i1) {
-        if constexpr (simd::kEnabled) {
-          simd::GemmRowsNT(pa, pb, po, i0, i1, k, n);
-        } else {
-          MatMulNTRowRange(pa, pb, po, i0, i1, k, n);
-        }
-      });
+             int64_t i1) { simd::GemmRowsNT(pa, pb, po, i0, i1, k, n); });
 }
 
 Tensor MatMulTN(const Tensor& a, const Tensor& b) {
@@ -645,24 +510,16 @@ Tensor MatMulTN(const Tensor& a, const Tensor& b) {
       return out;
     }
   }
-  if constexpr (simd::kEnabled) {
-    if (a.rank() == 2 && b.rank() == 2 && simd::GemmUsesPackedPath(m, n, k)) {
-      Tensor out = Tensor::Uninit(Shape{m, n});
-      simd::Gemm2D(a.data(), b.data(), out.data(), m, n, k,
-                   /*trans_a=*/true, /*trans_b=*/false);
-      return out;
-    }
+  if (a.rank() == 2 && b.rank() == 2 && simd::GemmUsesPackedPath(m, n, k)) {
+    Tensor out = Tensor::Uninit(Shape{m, n});
+    simd::Gemm2D(a.data(), b.data(), out.data(), m, n, k,
+                 /*trans_a=*/true, /*trans_b=*/false);
+    return out;
   }
   return BatchedTransposedProduct(
       a, b, m, n, k,
       [k, m, n](const float* pa, const float* pb, float* po, int64_t i0,
-                int64_t i1) {
-        if constexpr (simd::kEnabled) {
-          simd::GemmRowsTN(pa, pb, po, i0, i1, k, m, n);
-        } else {
-          MatMulTNRowRange(pa, pb, po, i0, i1, k, m, n);
-        }
-      });
+                int64_t i1) { simd::GemmRowsTN(pa, pb, po, i0, i1, k, m, n); });
 }
 
 Tensor TransposeLast2(const Tensor& a) {
@@ -784,9 +641,9 @@ Tensor Sum(const Tensor& a, int64_t axis, bool keepdims) {
   // chunk. inner > 1 vectorizes across the inner axis keeping the exact
   // ascending-e per-element order of the serial loop; inner == 1 (last
   // axis) uses fixed lane accumulators over the extent (zero pad lanes
-  // are the add identity), deterministic but lane-split, so it differs
-  // from the scalar build in low-order bits.
-  const bool vec_last = simd::kEnabled && inner == 1 && extent >= kVecW;
+  // are the add identity), deterministic but lane-split, so its low-order
+  // bits depend on the tier's lane count.
+  const bool vec_last = inner == 1 && extent >= kVecW;
   runtime::ParallelFor(
       0, outer, std::max<int64_t>(1, kMinChunkWork / (extent * inner + 1)),
       [=](int64_t o0, int64_t o1) {
@@ -807,12 +664,9 @@ Tensor Sum(const Tensor& a, int64_t axis, bool keepdims) {
           for (int64_t e = 0; e < extent; ++e) {
             const float* src = pa + (o * extent + e) * inner;
             float* dst = po + o * inner;
-            if constexpr (simd::kEnabled) {
-              if (inner > 1) {
-                detail::VecBinaryRange(dst, dst, src, 0, inner,
-                                       simd::AddOp{});
-                continue;
-              }
+            if (inner > 1) {
+              detail::VecBinaryRange(dst, dst, src, 0, inner, simd::AddOp{});
+              continue;
             }
             for (int64_t i = 0; i < inner; ++i) dst[i] += src[i];
           }
@@ -849,7 +703,7 @@ Tensor Max(const Tensor& a, int64_t axis, bool keepdims) {
   // Same split as Sum: vector-across-inner keeps the serial per-element
   // order (max is exact either way); last-axis rows use lane maxima with
   // -inf pad lanes.
-  const bool vec_last = simd::kEnabled && inner == 1 && extent >= kVecW;
+  const bool vec_last = inner == 1 && extent >= kVecW;
   runtime::ParallelFor(
       0, outer, std::max<int64_t>(1, kMinChunkWork / (extent * inner + 1)),
       [=](int64_t o0, int64_t o1) {
@@ -873,12 +727,9 @@ Tensor Max(const Tensor& a, int64_t axis, bool keepdims) {
           for (int64_t e = 0; e < extent; ++e) {
             const float* src = pa + (o * extent + e) * inner;
             float* dst = po + o * inner;
-            if constexpr (simd::kEnabled) {
-              if (inner > 1) {
-                detail::VecBinaryRange(dst, dst, src, 0, inner,
-                                       simd::MaxOp{});
-                continue;
-              }
+            if (inner > 1) {
+              detail::VecBinaryRange(dst, dst, src, 0, inner, simd::MaxOp{});
+              continue;
             }
             for (int64_t i = 0; i < inner; ++i) {
               dst[i] = std::max(dst[i], src[i]);
@@ -960,7 +811,7 @@ Tensor BroadcastTo(const Tensor& a, const Shape& shape) {
 // independent, so a range [r0, r1) computes the same bits regardless of
 // which caller (or worker) runs it. In-place safe (src == dst): every
 // element is read before its slot is overwritten. `vec_rows` must be the
-// shape-only decision `simd::kEnabled && last >= kVecW`.
+// shape-only decision `last >= kVecW`.
 static void SoftmaxRowRange(const float* pa, float* po, int64_t r0,
                             int64_t r1, int64_t last, bool vec_rows) {
   for (int64_t r = r0; r < r1; ++r) {
@@ -1031,7 +882,7 @@ Tensor SoftmaxLast(const Tensor& a) {
   // Vector path only when a row holds at least one full vector: window
   // attention softmaxes rows of 2-3 where the scalar loop wins. The choice
   // depends only on the shape, so it is deterministic.
-  const bool vec_rows = simd::kEnabled && last >= kVecW;
+  const bool vec_rows = last >= kVecW;
   runtime::ParallelFor(
       0, rows, std::max<int64_t>(1, kMinChunkWork / (4 * last)),
       [=](int64_t r0, int64_t r1) {
@@ -1056,7 +907,7 @@ Tensor SoftmaxLastBackward(const Tensor& y, const Tensor& g) {
   // Vector path (rows of at least one full vector): fixed lane
   // accumulators for s — zero pad lanes contribute fma(0, 0, acc) == acc
   // exactly, so the ragged tail needs no mask.
-  const bool vec_rows = simd::kEnabled && last >= kVecW;
+  const bool vec_rows = last >= kVecW;
   runtime::ParallelFor(
       0, rows, std::max<int64_t>(1, kMinChunkWork / (4 * last)),
       [=](int64_t r0, int64_t r1) {
@@ -1217,14 +1068,8 @@ void AddInPlace(Tensor& dst, const Tensor& src) {
   const float* ps = src.data();
   runtime::ParallelFor(0, dst.size(), kMinChunkWork,
                        [pd, ps](int64_t begin, int64_t end) {
-                         if constexpr (simd::kEnabled) {
-                           detail::VecBinaryRange(pd, pd, ps, begin, end,
-                                                  simd::AddOp{});
-                         } else {
-                           for (int64_t i = begin; i < end; ++i) {
-                             pd[i] += ps[i];
-                           }
-                         }
+                         detail::VecBinaryRange(pd, pd, ps, begin, end,
+                                                simd::AddOp{});
                        });
 }
 
@@ -1234,22 +1079,16 @@ void AxpyInPlace(Tensor& dst, float s, const Tensor& src) {
   const float* ps = src.data();
   runtime::ParallelFor(
       0, dst.size(), kMinChunkWork, [pd, ps, s](int64_t begin, int64_t end) {
-        if constexpr (simd::kEnabled) {
-          const Vec vs = Vec::Broadcast(s);
-          int64_t i = begin;
-          for (; i + kVecW <= end; i += kVecW) {
-            Vec::Fma(vs, Vec::Load(ps + i), Vec::Load(pd + i)).Store(pd + i);
-          }
-          if (i < end) {
-            const int64_t rem = end - i;
-            simd::StorePartial(Vec::Fma(vs, simd::LoadPartial(ps + i, rem),
-                                        simd::LoadPartial(pd + i, rem)),
-                               pd + i, rem);
-          }
-        } else {
-          for (int64_t i = begin; i < end; ++i) {
-            pd[i] += s * ps[i];
-          }
+        const Vec vs = Vec::Broadcast(s);
+        int64_t i = begin;
+        for (; i + kVecW <= end; i += kVecW) {
+          Vec::Fma(vs, Vec::Load(ps + i), Vec::Load(pd + i)).Store(pd + i);
+        }
+        if (i < end) {
+          const int64_t rem = end - i;
+          simd::StorePartial(Vec::Fma(vs, simd::LoadPartial(ps + i, rem),
+                                      simd::LoadPartial(pd + i, rem)),
+                             pd + i, rem);
         }
       });
 }
@@ -1261,30 +1100,13 @@ void MulInPlace(Tensor& dst, const Tensor& src) {
   const float* ps = src.data();
   runtime::ParallelFor(0, dst.size(), kMinChunkWork,
                        [pd, ps](int64_t begin, int64_t end) {
-                         if constexpr (simd::kEnabled) {
-                           detail::VecBinaryRange(pd, pd, ps, begin, end,
-                                                  simd::MulOp{});
-                         } else {
-                           for (int64_t i = begin; i < end; ++i) {
-                             pd[i] *= ps[i];
-                           }
-                         }
+                         detail::VecBinaryRange(pd, pd, ps, begin, end,
+                                                simd::MulOp{});
                        });
 }
 
 void MulScalarInPlace(Tensor& dst, float s) {
-  float* pd = dst.data();
-  runtime::ParallelFor(0, dst.size(), kMinChunkWork,
-                       [pd, s](int64_t begin, int64_t end) {
-                         if constexpr (simd::kEnabled) {
-                           detail::VecUnaryRange(pd, pd, begin, end,
-                                                 simd::MulScalarOp{s});
-                         } else {
-                           for (int64_t i = begin; i < end; ++i) {
-                             pd[i] *= s;
-                           }
-                         }
-                       });
+  UnaryMapInPlace(dst, simd::MulScalarOp{s});
 }
 
 void AddMulInPlace(Tensor& dst, const Tensor& a, const Tensor& b) {
@@ -1297,23 +1119,17 @@ void AddMulInPlace(Tensor& dst, const Tensor& a, const Tensor& b) {
   const float* pb = b.data();
   runtime::ParallelFor(
       0, dst.size(), kMinChunkWork, [pd, pa, pb](int64_t begin, int64_t end) {
-        if constexpr (simd::kEnabled) {
-          int64_t i = begin;
-          for (; i + kVecW <= end; i += kVecW) {
-            Vec::Fma(Vec::Load(pa + i), Vec::Load(pb + i), Vec::Load(pd + i))
-                .Store(pd + i);
-          }
-          if (i < end) {
-            const int64_t rem = end - i;
-            simd::StorePartial(Vec::Fma(simd::LoadPartial(pa + i, rem),
-                                        simd::LoadPartial(pb + i, rem),
-                                        simd::LoadPartial(pd + i, rem)),
-                               pd + i, rem);
-          }
-        } else {
-          for (int64_t i = begin; i < end; ++i) {
-            pd[i] += pa[i] * pb[i];
-          }
+        int64_t i = begin;
+        for (; i + kVecW <= end; i += kVecW) {
+          Vec::Fma(Vec::Load(pa + i), Vec::Load(pb + i), Vec::Load(pd + i))
+              .Store(pd + i);
+        }
+        if (i < end) {
+          const int64_t rem = end - i;
+          simd::StorePartial(Vec::Fma(simd::LoadPartial(pa + i, rem),
+                                      simd::LoadPartial(pb + i, rem),
+                                      simd::LoadPartial(pd + i, rem)),
+                             pd + i, rem);
         }
       });
 }
@@ -1425,42 +1241,29 @@ Tensor FusedMap(const Tensor& head, const std::vector<Tensor>& sides,
         std::max<int64_t>(1, kMinChunkWork / std::max<int64_t>(1, count));
     runtime::ParallelFor(
         0, size, grain, [=](int64_t begin, int64_t end) {
-          if constexpr (simd::kEnabled) {
-            int64_t i = begin;
-            for (; i + kVecW <= end; i += kVecW) {
-              Vec x = Vec::Load(ph + i);
-              for (int64_t s = 0; s < count; ++s) {
-                const Vec side = st[s].side != nullptr
-                                     ? Vec::Load(st[s].side + i)
-                                     : Vec::Zero();
-                x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                     st[s].swapped);
-              }
-              x.Store(po + i);
+          int64_t i = begin;
+          for (; i + kVecW <= end; i += kVecW) {
+            Vec x = Vec::Load(ph + i);
+            for (int64_t s = 0; s < count; ++s) {
+              const Vec side = st[s].side != nullptr
+                                   ? Vec::Load(st[s].side + i)
+                                   : Vec::Zero();
+              x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
+                                   st[s].swapped);
             }
-            if (i < end) {
-              const int64_t rem = end - i;
-              Vec x = simd::LoadPartial(ph + i, rem);
-              for (int64_t s = 0; s < count; ++s) {
-                const Vec side = st[s].side != nullptr
-                                     ? simd::LoadPartial(st[s].side + i, rem)
-                                     : Vec::Zero();
-                x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                     st[s].swapped);
-              }
-              simd::StorePartial(x, po + i, rem);
+            x.Store(po + i);
+          }
+          if (i < end) {
+            const int64_t rem = end - i;
+            Vec x = simd::LoadPartial(ph + i, rem);
+            for (int64_t s = 0; s < count; ++s) {
+              const Vec side = st[s].side != nullptr
+                                   ? simd::LoadPartial(st[s].side + i, rem)
+                                   : Vec::Zero();
+              x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
+                                   st[s].swapped);
             }
-          } else {
-            for (int64_t i = begin; i < end; ++i) {
-              float x = ph[i];
-              for (int64_t s = 0; s < count; ++s) {
-                const float side =
-                    st[s].side != nullptr ? st[s].side[i] : 0.0f;
-                x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                     st[s].swapped);
-              }
-              po[i] = x;
-            }
+            simd::StorePartial(x, po + i, rem);
           }
         });
     return out;
@@ -1476,47 +1279,32 @@ Tensor FusedMap(const Tensor& head, const std::vector<Tensor>& sides,
   runtime::ParallelFor(0, rows, row_grain, [=](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       const int64_t base = r * run;
-      if constexpr (simd::kEnabled) {
-        int64_t j = 0;
-        for (; j + kVecW <= run; j += kVecW) {
-          Vec x = Vec::Load(ph + base + j);
-          for (int64_t s = 0; s < count; ++s) {
-            const Vec side =
-                st[s].side != nullptr
-                    ? Vec::Load(st[s].side + (st[s].side_full ? base : 0) + j)
-                    : Vec::Zero();
-            x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                 st[s].swapped);
-          }
-          x.Store(po + base + j);
+      int64_t j = 0;
+      for (; j + kVecW <= run; j += kVecW) {
+        Vec x = Vec::Load(ph + base + j);
+        for (int64_t s = 0; s < count; ++s) {
+          const Vec side =
+              st[s].side != nullptr
+                  ? Vec::Load(st[s].side + (st[s].side_full ? base : 0) + j)
+                  : Vec::Zero();
+          x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
+                               st[s].swapped);
         }
-        if (j < run) {
-          const int64_t rem = run - j;
-          Vec x = simd::LoadPartial(ph + base + j, rem);
-          for (int64_t s = 0; s < count; ++s) {
-            const Vec side =
-                st[s].side != nullptr
-                    ? simd::LoadPartial(
-                          st[s].side + (st[s].side_full ? base : 0) + j, rem)
-                    : Vec::Zero();
-            x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                 st[s].swapped);
-          }
-          simd::StorePartial(x, po + base + j, rem);
+        x.Store(po + base + j);
+      }
+      if (j < run) {
+        const int64_t rem = run - j;
+        Vec x = simd::LoadPartial(ph + base + j, rem);
+        for (int64_t s = 0; s < count; ++s) {
+          const Vec side =
+              st[s].side != nullptr
+                  ? simd::LoadPartial(
+                        st[s].side + (st[s].side_full ? base : 0) + j, rem)
+                  : Vec::Zero();
+          x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
+                               st[s].swapped);
         }
-      } else {
-        for (int64_t j = 0; j < run; ++j) {
-          float x = ph[base + j];
-          for (int64_t s = 0; s < count; ++s) {
-            const float side =
-                st[s].side != nullptr
-                    ? st[s].side[(st[s].side_full ? base : 0) + j]
-                    : 0.0f;
-            x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                 st[s].swapped);
-          }
-          po[base + j] = x;
-        }
+        simd::StorePartial(x, po + base + j, rem);
       }
     }
   });
@@ -1547,10 +1335,9 @@ Tensor FusedAttention(const Tensor& q, const Tensor& kt, const Tensor& v,
   Shape out_shape = batch;
   out_shape.push_back(m);
   out_shape.push_back(d);
-  // The SIMD NN row kernel writes every element; the legacy row kernel
-  // accumulates into zeros — identical to the unfused batched MatMul.
-  Tensor out =
-      simd::kEnabled ? Tensor::Uninit(out_shape) : Tensor(out_shape);
+  // The NN row kernel writes every element, as in the unfused batched
+  // MatMul.
+  Tensor out = Tensor::Uninit(out_shape);
   if (out.size() == 0) return out;
 
   const float* pq = q.data();
@@ -1562,7 +1349,7 @@ Tensor FusedAttention(const Tensor& q, const Tensor& kt, const Tensor& v,
   const int64_t v_mat = n * d;
   const int64_t o_mat = m * d;
   // Same shape-only row decision as the standalone SoftmaxLast.
-  const bool vec_rows = simd::kEnabled && n >= kVecW;
+  const bool vec_rows = n >= kVecW;
   // One slice = both GEMMs + scale + softmax worth of work.
   const int64_t slice_work =
       std::max<int64_t>(1, m * n * (k + d + 4));
@@ -1571,43 +1358,18 @@ Tensor FusedAttention(const Tensor& q, const Tensor& kt, const Tensor& v,
       0, batch_count, grain, [=](int64_t b0, int64_t b1) {
         // Per-chunk pooled score scratch, recycled across the slices of
         // the chunk. The full [batch, m, n] score tensor never exists.
-        Tensor scores = simd::kEnabled ? Tensor::Uninit(Shape{m, n})
-                                       : Tensor(Shape{m, n});
+        Tensor scores = Tensor::Uninit(Shape{m, n});
         float* ps = scores.data();
         for (int64_t b = b0; b < b1; ++b) {
           const float* qs = pq + b * q_mat;
           const float* ks = pk + b * k_mat;
           const float* vs = pv + b * v_mat;
           float* os = po + b * o_mat;
-          if constexpr (simd::kEnabled) {
-            simd::GemmRowsNN(qs, ks, ps, 0, m, k, n);
-          } else {
-            std::fill(ps, ps + m * n, 0.0f);
-            MatMulRowRange(qs, ks, ps, 0, m, k, n);
-          }
-          // Scale in place with the same lane op as the standalone
-          // MulScalar map (full vectors + one partial tail).
-          const int64_t mn = m * n;
-          if constexpr (simd::kEnabled) {
-            const simd::MulScalarOp op{scale};
-            int64_t i = 0;
-            for (; i + kVecW <= mn; i += kVecW) {
-              op(Vec::Load(ps + i)).Store(ps + i);
-            }
-            if (i < mn) {
-              const int64_t rem = mn - i;
-              simd::StorePartial(op(simd::LoadPartial(ps + i, rem)), ps + i,
-                                 rem);
-            }
-          } else {
-            for (int64_t i = 0; i < mn; ++i) ps[i] *= scale;
-          }
+          simd::GemmRowsNN(qs, ks, ps, 0, m, k, n);
+          // Scale in place with the standalone MulScalar map's body.
+          detail::VecUnaryRange(ps, ps, 0, m * n, simd::MulScalarOp{scale});
           SoftmaxRowRange(ps, ps, 0, m, n, vec_rows);
-          if constexpr (simd::kEnabled) {
-            simd::GemmRowsNN(ps, vs, os, 0, m, n, d);
-          } else {
-            MatMulRowRange(ps, vs, os, 0, m, n, d);
-          }
+          simd::GemmRowsNN(ps, vs, os, 0, m, n, d);
         }
       });
   return out;

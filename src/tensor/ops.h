@@ -59,10 +59,8 @@ inline void VecBinaryRange(float* po, const float* pa, const float* pb,
 // below (Exp, Tanh, Add, ...) and the autograd backward closures are built
 // on them.
 //
-// Functors that also provide a Vec overload (simd/vec_math.h) are
-// vectorized automatically on SIMD builds; plain scalar functors — and
-// every functor on an STWA_NO_SIMD build — take the scalar loop, which is
-// the pre-SIMD code path unchanged.
+// Functors that also provide a Vec overload (simd/vec_math.h) run the Vec
+// loop on every tier; plain scalar functors take the scalar loop.
 
 /// out[i] = fn(a[i]). The output buffer is uninitialised (pooled) — every
 /// element is written exactly once.
@@ -73,8 +71,7 @@ Tensor UnaryMap(const Tensor& a, Fn fn) {
   float* po = out.data();
   runtime::ParallelFor(0, a.size(), runtime::kMinChunkWork,
                        [po, pa, &fn](int64_t begin, int64_t end) {
-                         if constexpr (simd::kEnabled &&
-                                       simd::kIsVecUnary<Fn>) {
+                         if constexpr (simd::kIsVecUnary<Fn>) {
                            detail::VecUnaryRange(po, pa, begin, end, fn);
                          } else {
                            for (int64_t i = begin; i < end; ++i) {
@@ -97,8 +94,7 @@ Tensor BinaryMap(const Tensor& a, const Tensor& b, Fn fn) {
   float* po = out.data();
   runtime::ParallelFor(0, a.size(), runtime::kMinChunkWork,
                        [po, pa, pb, &fn](int64_t begin, int64_t end) {
-                         if constexpr (simd::kEnabled &&
-                                       simd::kIsVecBinary<Fn>) {
+                         if constexpr (simd::kIsVecBinary<Fn>) {
                            detail::VecBinaryRange(po, pa, pb, begin, end,
                                                   fn);
                          } else {
@@ -117,8 +113,7 @@ void UnaryMapInPlace(Tensor& a, Fn fn) {
   float* pa = a.data();
   runtime::ParallelFor(0, a.size(), runtime::kMinChunkWork,
                        [pa, &fn](int64_t begin, int64_t end) {
-                         if constexpr (simd::kEnabled &&
-                                       simd::kIsVecUnary<Fn>) {
+                         if constexpr (simd::kIsVecUnary<Fn>) {
                            detail::VecUnaryRange(pa, pa, begin, end, fn);
                          } else {
                            for (int64_t i = begin; i < end; ++i) {

@@ -6,7 +6,7 @@
 //     end on the last readable float before a PROT_NONE page;
 //   * GEMM (NN / NT / TN) against a naive reference over a shape grid that
 //     exercises every tail case and both the row and packed kernels. On
-//     SIMD builds every comparison is BIT-exact: NN/TN (and NT on the
+//     every tier every comparison is BIT-exact: NN/TN (and NT on the
 //     packed path) against a k-ascending simd::MulAddRef chain — the
 //     kernels promise that exact accumulation order regardless of
 //     blocking — and the NT row kernel against a mirror of its fixed lane
@@ -254,23 +254,9 @@ Tensor RefMatMulTN(const Tensor& a, const Tensor& b, int64_t m, int64_t n,
   return c;
 }
 
-void ExpectClose(const Tensor& ref, const Tensor& out, bool bit_exact,
-                 const char* what) {
-  ASSERT_EQ(ref.shape(), out.shape()) << what;
-  if (bit_exact) {
-    EXPECT_TRUE(BitIdentical(ref, out)) << what;
-    return;
-  }
-  for (int64_t i = 0; i < ref.size(); ++i) {
-    const float r = ref.data()[i];
-    EXPECT_NEAR(out.data()[i], r, 1e-4f + 1e-4f * std::fabs(r))
-        << what << " flat index " << i;
-  }
-}
-
 // Dimensions straddling every vector width, the 6-row microkernel tile and
-// the packed-path threshold (64^3 and 65^3 take the packed kernel on SIMD
-// builds; the rest take the row kernel).
+// the packed-path threshold (64^3 and 65^3 take the packed kernel on every
+// tier; small shapes take the row kernel).
 const std::vector<int64_t> kDims = {1, 2, 3, 7, 8, 9, 16, 17, 64, 65};
 
 TEST(SimdGemmTest, MatMul2DMatchesReferenceOverGrid) {
@@ -280,8 +266,9 @@ TEST(SimdGemmTest, MatMul2DMatchesReferenceOverGrid) {
       for (int64_t k : kDims) {
         Tensor a = Tensor::Randn({m, k}, rng);
         Tensor b = Tensor::Randn({k, n}, rng);
-        ExpectClose(RefMatMul(a, b, m, n, k), ops::MatMul2D(a, b),
-                    simd::kEnabled, "NN");
+        EXPECT_TRUE(BitIdentical(RefMatMul(a, b, m, n, k),
+                                 ops::MatMul2D(a, b)))
+            << "NN " << m << "x" << n << "x" << k;
       }
     }
   }
@@ -297,15 +284,17 @@ TEST(SimdGemmTest, TransposedVariantsMatchReferenceOverGrid) {
         Tensor at = Tensor::Randn({k, m}, rng);      // TN lhs: [k, m]
         Tensor b = Tensor::Randn({k, n}, rng);       // TN rhs: [k, n]
         // The NT row kernel sums k in fixed lane accumulators; the packed
-        // path keeps the k-ascending chain. Both are bit-exact on SIMD
-        // builds against the reference for the path the shape takes; TN
-        // keeps the scalar chain on either path.
+        // path keeps the k-ascending chain. Both are bit-exact against the
+        // reference for the path the shape takes; TN keeps the scalar
+        // chain on either path.
         const Tensor nt_ref = simd::GemmUsesPackedPath(m, n, k)
                                   ? RefMatMulNT(a, bt, m, n, k)
                                   : RefMatMulNTLanes(a, bt, m, n, k);
-        ExpectClose(nt_ref, ops::MatMulNT(a, bt), simd::kEnabled, "NT");
-        ExpectClose(RefMatMulTN(at, b, m, n, k), ops::MatMulTN(at, b),
-                    simd::kEnabled, "TN");
+        EXPECT_TRUE(BitIdentical(nt_ref, ops::MatMulNT(a, bt)))
+            << "NT " << m << "x" << n << "x" << k;
+        EXPECT_TRUE(BitIdentical(RefMatMulTN(at, b, m, n, k),
+                                 ops::MatMulTN(at, b)))
+            << "TN " << m << "x" << n << "x" << k;
       }
     }
   }
