@@ -19,7 +19,7 @@ Tensor Pca(const Tensor& x, int64_t components, int64_t iterations) {
   Tensor centred = ops::Sub(x, mean);
   // Covariance [d, d].
   Tensor cov = ops::MulScalar(
-      ops::MatMul2D(ops::TransposeLast2(centred), centred),
+      ops::MatMul(ops::TransposeLast2(centred), centred),
       1.0f / static_cast<float>(std::max<int64_t>(1, n - 1)));
 
   std::vector<std::vector<float>> dirs;

@@ -50,7 +50,7 @@ GraphWaveNet::GraphWaveNet(BaselineConfig config, Rng* rng)
 }
 
 Tensor GraphWaveNet::AdaptiveAdjacency() const {
-  Tensor scores = ops::Relu(ops::MatMul2D(
+  Tensor scores = ops::Relu(ops::MatMul(
       node_emb1_.value(), ops::TransposeLast2(node_emb2_.value())));
   return ops::SoftmaxLast(scores);
 }

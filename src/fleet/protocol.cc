@@ -1,6 +1,8 @@
 #include "fleet/protocol.h"
 
+#include <filesystem>
 #include <sstream>
+#include <system_error>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -8,6 +10,21 @@
 
 namespace stwa {
 namespace fleet {
+namespace {
+
+// Reload sandbox: a client may only name a file in the directory of the
+// profile's configured checkpoint. Both paths are resolved first (".."
+// and symlinks included), so neither can step outside that directory.
+bool InCheckpointDir(const std::string& path, const std::string& configured) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::path dir = fs::weakly_canonical(configured, ec).parent_path();
+  if (ec) return false;
+  const fs::path target = fs::weakly_canonical(path, ec);
+  return !ec && target.parent_path() == dir;
+}
+
+}  // namespace
 
 FleetNode::FleetNode(const FleetConfig& config)
     : registry_(config.profiles), admission_(config.default_quota) {
@@ -84,6 +101,13 @@ std::optional<std::string> FleetLineSession::Handle(const std::string& line,
     if (tokens.size() != 3) return Error("usage: reload <profile> <path>");
     ModelProfile* profile = node_.registry().Find(tokens[1]);
     if (profile == nullptr) return Error("unknown profile '" + tokens[1] + "'");
+    // A refused path fails softly, like a bad file below.
+    if (!InCheckpointDir(tokens[2], profile->config().checkpoint)) {
+      return "reload ok=0 profile=" + tokens[1] + " " +
+             serve::FormatErrorResponse(
+                 "reload path must be in the directory of the profile's "
+                 "ckpt= file");
+    }
     try {
       const ReloadResult r = profile->Reload(tokens[2]);
       std::ostringstream oss;

@@ -15,7 +15,11 @@
 // Node commands:
 //   profiles                        -> one line listing every profile
 //   tenant <name>                   quota identity for this connection
-//   reload <profile> <path>         hot-swap a profile's checkpoint
+//   reload <profile> <path>         hot-swap a profile's checkpoint; the
+//                                   path must resolve (after ".." and
+//                                   symlinks) into the directory of the
+//                                   profile's ckpt= file, else "reload
+//                                   ok=0" and the file is never opened
 //   stats                           -> "fleetstats ..." node counters
 //   quit                            -> "bye"
 //

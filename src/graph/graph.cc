@@ -110,8 +110,8 @@ std::vector<Tensor> SensorGraph::DiffusionSupports(int64_t max_hops) const {
     supports.push_back(fwd_power);
     supports.push_back(bwd_power);
     if (k < max_hops) {
-      fwd_power = ops::MatMul2D(fwd_power, fwd);
-      bwd_power = ops::MatMul2D(bwd_power, at);
+      fwd_power = ops::MatMul(fwd_power, fwd);
+      bwd_power = ops::MatMul(bwd_power, at);
     }
   }
   return supports;

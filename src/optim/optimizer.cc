@@ -99,7 +99,7 @@ void Adam::Step() {
     // Single fused pass over the parameter: moments and weight update in
     // one loop, elementwise-independent, so chunking keeps determinism.
     runtime::ParallelFor(
-        0, value.size(), runtime::kMinChunkWork / 4,
+        0, value.size(), runtime::Grain(4),
         [=](int64_t j0, int64_t j1) {
           for (int64_t j = j0; j < j1; ++j) {
             const float gj = g[j] + wd * w[j];

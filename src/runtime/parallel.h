@@ -23,6 +23,7 @@
 #ifndef STWA_RUNTIME_PARALLEL_H_
 #define STWA_RUNTIME_PARALLEL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -33,8 +34,16 @@ namespace runtime {
 
 /// Grain floor shared by every ParallelFor call site: a chunk should hold
 /// at least this many elementwise-op-equivalents (multiply-adds for GEMM
-/// rows). Kernels with a per-item cost divide it by that cost.
+/// rows). Kernels with a per-item cost take their grain from Grain.
 constexpr int64_t kMinChunkWork = 16384;
+
+/// Grain for indices that cost `work_per_index` op-equivalents each:
+/// enough of them that one chunk holds about kMinChunkWork, and at least
+/// one. The one grain rule of every ParallelFor with a per-item cost.
+constexpr int64_t Grain(int64_t work_per_index) {
+  return std::max<int64_t>(1, kMinChunkWork /
+                                  std::max<int64_t>(1, work_per_index));
+}
 
 /// Number of threads the pool currently targets (>= 1).
 int NumThreads();

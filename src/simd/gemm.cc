@@ -10,17 +10,10 @@ namespace stwa {
 namespace simd {
 namespace {
 
-using runtime::kMinChunkWork;
-
 constexpr int64_t kW = Vec::kWidth;
 // Packed path pays one B repack + A tile packs per K block; below this
 // flop count the row kernels win.
 constexpr int64_t kPackedMinFlops = 128 * 1024;
-
-int64_t RowGrain(int64_t k, int64_t n) {
-  const int64_t flops_per_row = std::max<int64_t>(1, k * n);
-  return std::max<int64_t>(1, kMinChunkWork / flops_per_row);
-}
 
 // --- Packing -------------------------------------------------------------
 
@@ -140,7 +133,7 @@ void GemmPacked(const float* a, const float* b, float* c, int64_t m,
   for (int64_t kb = 0; kb < k; kb += kGemmKC) {
     const int64_t kc = std::min(kGemmKC, k - kb);
     runtime::ParallelFor(
-        0, num_jp, std::max<int64_t>(1, kMinChunkWork / (kc * kGemmNR)),
+        0, num_jp, runtime::Grain(kc * kGemmNR),
         [&](int64_t jp0, int64_t jp1) {
           for (int64_t jp = jp0; jp < jp1; ++jp) {
             PackBPanel(b, pb + jp * kc * kGemmNR, kb, kc, jp * kGemmNR, n,
@@ -148,7 +141,7 @@ void GemmPacked(const float* a, const float* b, float* c, int64_t m,
           }
         });
     runtime::ParallelFor(
-        0, num_it, std::max<int64_t>(1, kMinChunkWork / (kc * kGemmMR)),
+        0, num_it, runtime::Grain(kc * kGemmMR),
         [&](int64_t t0, int64_t t1) {
           for (int64_t t = t0; t < t1; ++t) {
             const int64_t i0 = t * kGemmMR;
@@ -163,9 +156,7 @@ void GemmPacked(const float* a, const float* b, float* c, int64_t m,
     // columns [jp*NR, jp*NR+NR), tile t rows [t*MR, t*MR+MR)), never by
     // chunk phase, so results are chunking-independent.
     runtime::ParallelFor(
-        0, num_jp,
-        std::max<int64_t>(1, kMinChunkWork /
-                                 (kc * kGemmNR * std::max<int64_t>(1, m))),
+        0, num_jp, runtime::Grain(kc * kGemmNR * m),
         [&](int64_t jp0, int64_t jp1) {
           for (int64_t jp = jp0; jp < jp1; ++jp) {
             const float* bp = pb + jp * kc * kGemmNR;
@@ -326,7 +317,7 @@ void Gemm2D(const float* a, const float* b, float* c, int64_t m, int64_t n,
     GemmPacked(a, b, c, m, n, k, trans_a, trans_b);
     return;
   }
-  runtime::ParallelFor(0, m, RowGrain(k, n),
+  runtime::ParallelFor(0, m, runtime::Grain(k * n),
                        [=](int64_t i0, int64_t i1) {
                          if (trans_a) {
                            GemmRowsTN(a, b, c, i0, i1, k, m, n);

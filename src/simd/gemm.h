@@ -1,11 +1,14 @@
-// SIMD GEMM kernels behind tensor/ops.cc's MatMul2D / MatMul / MatMulNT /
-// MatMulTN.
+// SIMD GEMM kernels behind tensor/ops.cc's MatMul / MatMulNT / MatMulTN,
+// which share one driver and one rule: when B is rank 2 and op(A)'s rows
+// are contiguous, the batch folds into M and the product runs as one
+// GemmLowp (if a pack is registered for B) or one Gemm2D (unless it is a
+// batched NT); every other product runs GemmRows* per (batch, row-chunk).
+// Every row split takes its grain from runtime::Grain.
 //
 // Two tiers, both writing every output element (safe on Tensor::Uninit
 // storage):
 //   * row kernels (GemmRows*): register-blocked broadcast-FMA (NN/TN) or
-//     lane-accumulator dot (NT) over a row range — the batched matmul
-//     drivers call these per (batch, row-chunk);
+//     lane-accumulator dot (NT) over a row range;
 //   * a packed, cache-blocked path (Gemm2D above the threshold): op(B) is
 //     packed into kNR-wide zero-padded panels in pool-backed scratch once
 //     per K block, op(A) into an MR x KC stack tile, and a register-tiled

@@ -23,8 +23,6 @@ namespace stwa {
 namespace simd {
 namespace {
 
-using runtime::kMinChunkWork;
-
 constexpr int64_t kLowpMR = 6;
 #if defined(STWA_LOWP_AVX512)
 constexpr int64_t kLowpNR = 32;
@@ -94,7 +92,7 @@ template <typename Q, int kOffset>
 void QuantizeOpA(const float* a, int64_t m, int64_t k, bool trans_a,
                  Q* qa, int64_t stride, float* sa) {
   runtime::ParallelFor(
-      0, m, std::max<int64_t>(1, kMinChunkWork / std::max<int64_t>(1, k)),
+      0, m, runtime::Grain(k),
       [&](int64_t r0, int64_t r1) {
         for (int64_t i = r0; i < r1; ++i) {
           float absmax = 0.0f;
@@ -117,11 +115,6 @@ void QuantizeOpA(const float* a, int64_t m, int64_t k, bool trans_a,
       });
 }
 
-int64_t PanelFlopGrain(int64_t m, int64_t k) {
-  return std::max<int64_t>(
-      1, kMinChunkWork / std::max<int64_t>(1, k * kLowpNR * m));
-}
-
 // --- Scalar implementations (reference on vector builds, production on
 // --- scalar/SSE2/NEON builds) --------------------------------------------
 
@@ -131,8 +124,7 @@ void ScalarBf16(const float* a, const PackedWeights& w, float* c, int64_t m,
   const int64_t n = w.n;
   const int64_t nr = w.nr;
   runtime::ParallelFor(
-      0, m,
-      std::max<int64_t>(1, kMinChunkWork / std::max<int64_t>(1, k * n)),
+      0, m, runtime::Grain(k * n),
       [&](int64_t r0, int64_t r1) {
         for (int64_t i = r0; i < r1; ++i) {
           float* cr = c + i * n;
@@ -165,8 +157,7 @@ void ScalarInt8(const float* a, const PackedWeights& w, float* c, int64_t m,
   float* sa = qbuf->data() + qa_floats;
   QuantizeOpA<int8_t, 0>(a, m, k, trans_a, qa, k, sa);
   runtime::ParallelFor(
-      0, m,
-      std::max<int64_t>(1, kMinChunkWork / std::max<int64_t>(1, k * n)),
+      0, m, runtime::Grain(k * n),
       [&](int64_t r0, int64_t r1) {
         for (int64_t i = r0; i < r1; ++i) {
           const int8_t* qr = qa + i * k;
@@ -369,8 +360,7 @@ void VectorBf16(const float* a, const PackedWeights& w, float* c, int64_t m,
   auto ascratch = pool::Acquire(num_it * k * kBf16MR);
   float* pa = ascratch->data();
   runtime::ParallelFor(
-      0, num_it,
-      std::max<int64_t>(1, kMinChunkWork / std::max<int64_t>(1, k * kBf16MR)),
+      0, num_it, runtime::Grain(k * kBf16MR),
       [&](int64_t t0, int64_t t1) {
         for (int64_t t = t0; t < t1; ++t) {
           const int64_t i0 = t * kBf16MR;
@@ -379,7 +369,8 @@ void VectorBf16(const float* a, const PackedWeights& w, float* c, int64_t m,
         }
       });
   runtime::ParallelFor(
-      0, w.num_panels(), PanelFlopGrain(m, k), [&](int64_t p0, int64_t p1) {
+      0, w.num_panels(), runtime::Grain(k * kLowpNR * m),
+      [&](int64_t p0, int64_t p1) {
         for (int64_t jp = p0; jp < p1; ++jp) {
           const int64_t j0 = jp * kLowpNR;
           const int64_t cols = std::min(kLowpNR, n - j0);
@@ -421,7 +412,8 @@ void VectorInt8(const float* a, const PackedWeights& w, float* c, int64_t m,
   QuantizeOpA<AQ, kAOffset>(a, m, k, trans_a, qa, stride, sa);
   const int64_t num_it = (m + kLowpMR - 1) / kLowpMR;
   runtime::ParallelFor(
-      0, w.num_panels(), PanelFlopGrain(m, k), [&](int64_t p0, int64_t p1) {
+      0, w.num_panels(), runtime::Grain(k * kLowpNR * m),
+      [&](int64_t p0, int64_t p1) {
         for (int64_t jp = p0; jp < p1; ++jp) {
           const int64_t j0 = jp * kLowpNR;
           const int64_t cols = std::min(kLowpNR, n - j0);

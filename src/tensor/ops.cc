@@ -60,7 +60,7 @@ void ForEachBroadcastRuns(const Shape& out_shape,
   const int64_t* as_p = a_strides.data();
   const int64_t* bs_p = b_strides.data();
   runtime::ParallelFor(
-      0, num_runs, std::max<int64_t>(1, kMinChunkWork / inner),
+      0, num_runs, runtime::Grain(inner),
       [shape_p, as_p, bs_p, outer, inner, sa, sb, &fn](int64_t r0,
                                                        int64_t r1) {
         std::vector<int64_t> idx(outer, 0);
@@ -229,43 +229,76 @@ void AxisSplit(const Shape& shape, int64_t axis, int64_t* outer,
   }
 }
 
-// Row grain so one chunk holds at least ~kMinChunkWork multiply-adds.
-int64_t MatMulRowGrain(int64_t k, int64_t n) {
-  const int64_t flops_per_row = std::max<int64_t>(1, k * n);
-  return std::max<int64_t>(1, kMinChunkWork / flops_per_row);
-}
-
-// Shared batched driver for the transposed-operand products: broadcasts
-// the batch dims like MatMul and hands each (batch, row-range) pair to
-// `row_fn(a_panel, b_panel, o_panel, i0, i1)`.
-template <typename RowFn>
-Tensor BatchedTransposedProduct(const Tensor& a, const Tensor& b, int64_t m,
-                                int64_t n, int64_t k, RowFn&& row_fn) {
-  Shape a_batch(a.shape().begin(), a.shape().end() - 2);
-  Shape b_batch(b.shape().begin(), b.shape().end() - 2);
-  Shape batch = BroadcastShapes(a_batch, b_batch);
+// The one matmul driver: out[..., m, n] = op(A) @ op(B), where op
+// transposes the last two dims when its flag is set, over broadcast batch
+// dims. The route depends only on the shapes and the lowp registry, so
+// eager, plan replay and region-parallel replay all dispatch the same way
+// on any thread, and every route writes every output element.
+//
+// When B is rank 2 and op(A)'s rows are contiguous (A is rank 2 or not
+// transposed), the batch folds into M: one flat GEMM over batch*m rows.
+// That is what routes nn::Linear through the packed fp32 path and the
+// reduced-precision hook, and it keeps the bytes of the per-batch row
+// kernels because the NN/TN packed and row paths share their k-ascending
+// FMA chains (SimdGemmTest pins this). Everything else runs per-(batch,
+// row) GemmRows* kernels.
+Tensor Product(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
+  STWA_CHECK(a.rank() >= 2 && b.rank() >= 2,
+             "matmul needs rank >= 2 inputs, ", ShapeToString(a.shape()),
+             " x ", ShapeToString(b.shape()));
+  const int64_t m = a.dim(trans_a ? -1 : -2);
+  const int64_t k = a.dim(trans_a ? -2 : -1);
+  const int64_t n = b.dim(trans_b ? -2 : -1);
+  STWA_CHECK(b.dim(trans_b ? -1 : -2) == k, "inner dimensions mismatch: ",
+             ShapeToString(a.shape()), trans_a ? "^T" : "", " x ",
+             ShapeToString(b.shape()), trans_b ? "^T" : "");
+  const Shape a_batch(a.shape().begin(), a.shape().end() - 2);
+  const Shape b_batch(b.shape().begin(), b.shape().end() - 2);
+  const Shape batch = BroadcastShapes(a_batch, b_batch);
   const int64_t batch_count = NumElements(batch);
-  Shape out_shape = batch;
-  out_shape.push_back(m);
-  out_shape.push_back(n);
-  Tensor out = Tensor::Uninit(out_shape);  // row kernels write every element
-  if (out.size() == 0) return out;
-  std::vector<int64_t> a_strides = BroadcastStrides(a_batch, batch);
-  std::vector<int64_t> b_strides = BroadcastStrides(b_batch, batch);
-  std::vector<int64_t> batch_strides = Strides(batch);
+  Shape out_shape(batch.size() + 2);
+  std::copy(batch.begin(), batch.end(), out_shape.begin());
+  out_shape[batch.size()] = m;
+  out_shape[batch.size() + 1] = n;
+  Tensor out = Tensor::Uninit(std::move(out_shape));
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  const int64_t a_mat = a.dim(-2) * a.dim(-1);
-  const int64_t b_mat = b.dim(-2) * b.dim(-1);
+
+  if (b.rank() == 2 && (a.rank() == 2 || !trans_a)) {
+    // Reduced-precision hook: a serving session registered prepacked bf16
+    // / int8 panels for this weight operand (tensor/lowp_cache.h).
+    if (const auto pack = lowp::Find(pb, k, n, trans_b)) {
+      simd::GemmLowp(pa, *pack, po, batch_count * m, trans_a);
+      return out;
+    }
+    // A batched NT stays on the lane kernels below: Gemm2D's packed NT
+    // path sums k in one ascending chain, the NT row kernel in a lane
+    // tree, so folding it would change the bytes above the packed
+    // threshold (ROADMAP item 2).
+    if (a.rank() == 2 || !trans_b) {
+      simd::Gemm2D(pa, pb, po, batch_count * m, n, k, trans_a, trans_b);
+      return out;
+    }
+  }
+
+  // Per-batch offsets honouring broadcasting over the batch dims.
+  const std::vector<int64_t> a_strides = BroadcastStrides(a_batch, batch);
+  const std::vector<int64_t> b_strides = BroadcastStrides(b_batch, batch);
+  const std::vector<int64_t> batch_strides = Strides(batch);
+  const int64_t a_mat = m * k;
+  const int64_t b_mat = k * n;
   const int64_t o_mat = m * n;
   const int64_t* batch_p = batch_strides.data();
   const int64_t* as_p = a_strides.data();
   const int64_t* bs_p = b_strides.data();
   const int64_t batch_rank = static_cast<int64_t>(batch.size());
+  // Parallel over the flattened (batch, row) space so small-m batches and
+  // single large matrices both load every worker. Pointers and scalars are
+  // captured by value to keep them in registers across output stores.
   runtime::ParallelFor(
-      0, batch_count * m, MatMulRowGrain(k, n),
-      [=, &row_fn](int64_t r0, int64_t r1) {
+      0, batch_count * m, runtime::Grain(k * n),
+      [=](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1;) {
           const int64_t bi = r / m;
           const int64_t i0 = r % m;
@@ -279,8 +312,16 @@ Tensor BatchedTransposedProduct(const Tensor& a, const Tensor& b, int64_t m,
             a_off += coord * as_p[d];
             b_off += coord * bs_p[d];
           }
-          row_fn(pa + a_off * a_mat, pb + b_off * b_mat, po + bi * o_mat,
-                 i0, i1);
+          const float* ab = pa + a_off * a_mat;
+          const float* bb = pb + b_off * b_mat;
+          float* ob = po + bi * o_mat;
+          if (trans_a) {
+            simd::GemmRowsTN(ab, bb, ob, i0, i1, k, m, n);
+          } else if (trans_b) {
+            simd::GemmRowsNT(ab, bb, ob, i0, i1, k, n);
+          } else {
+            simd::GemmRowsNN(ab, bb, ob, i0, i1, k, n);
+          }
           r += i1 - i0;
         }
       });
@@ -355,171 +396,16 @@ Tensor Tanh(const Tensor& a) { return UnaryMap(a, simd::TanhOp{}); }
 Tensor Sigmoid(const Tensor& a) { return UnaryMap(a, simd::SigmoidOp{}); }
 Tensor Relu(const Tensor& a) { return UnaryMap(a, simd::ReluOp{}); }
 
-Tensor MatMul2D(const Tensor& a, const Tensor& b) {
-  STWA_CHECK(a.rank() == 2 && b.rank() == 2, "MatMul2D needs rank-2 inputs, ",
-             ShapeToString(a.shape()), " x ", ShapeToString(b.shape()));
-  const int64_t m = a.dim(0);
-  const int64_t k = a.dim(1);
-  const int64_t n = b.dim(1);
-  STWA_CHECK(b.dim(0) == k, "inner dimensions mismatch: ",
-             ShapeToString(a.shape()), " x ", ShapeToString(b.shape()));
-  // Reduced-precision hook: a serving session registered prepacked bf16 /
-  // int8 panels for this weight operand (tensor/lowp_cache.h). Selection
-  // depends only on the operand pointer, so eager, plan replay and
-  // region-parallel replay all dispatch the same way on any thread.
-  // Both GEMMs write every element.
-  Tensor out = Tensor::Uninit(Shape{m, n});
-  if (const auto pack = lowp::Find(b.data(), k, n, /*trans=*/false)) {
-    simd::GemmLowp(a.data(), *pack, out.data(), m, /*trans_a=*/false);
-  } else {
-    simd::Gemm2D(a.data(), b.data(), out.data(), m, n, k,
-                 /*trans_a=*/false, /*trans_b=*/false);
-  }
-  return out;
-}
-
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  if (a.rank() == 2 && b.rank() == 2) return MatMul2D(a, b);
-  STWA_CHECK(a.rank() >= 2 && b.rank() >= 2,
-             "MatMul needs rank >= 2 inputs");
-  // Normalise to equal batch shapes; a rank-2 operand is shared.
-  Shape a_batch(a.shape().begin(), a.shape().end() - 2);
-  Shape b_batch(b.shape().begin(), b.shape().end() - 2);
-  Shape batch = BroadcastShapes(a_batch, b_batch);
-  const int64_t m = a.dim(-2);
-  const int64_t k = a.dim(-1);
-  const int64_t n = b.dim(-1);
-  STWA_CHECK(b.dim(-2) == k, "inner dimensions mismatch: ",
-             ShapeToString(a.shape()), " x ", ShapeToString(b.shape()));
-  const int64_t batch_count = NumElements(batch);
-  Shape out_shape = batch;
-  out_shape.push_back(m);
-  out_shape.push_back(n);
-  // A shared rank-2 B multiplies every batch matrix by the same weights,
-  // so the whole product is one [batch*m, k] x [k, n] GEMM over A's
-  // contiguous storage. The flat NN kernels are bit-identical to the
-  // per-batch row kernels (the NN packed and row paths share their
-  // k-ascending FMA chains — SimdGemmTest pins this), and the flatten is
-  // what routes nn::Linear through the packed fp32 path and the
-  // reduced-precision weight hook. Every kernel below writes every element.
-  Tensor out = Tensor::Uninit(out_shape);
-  if (b.rank() == 2) {
-    const int64_t rows = batch_count * m;
-    if (const auto pack = lowp::Find(b.data(), k, n, /*trans=*/false)) {
-      simd::GemmLowp(a.data(), *pack, out.data(), rows, /*trans_a=*/false);
-    } else {
-      simd::Gemm2D(a.data(), b.data(), out.data(), rows, n, k,
-                   /*trans_a=*/false, /*trans_b=*/false);
-    }
-    return out;
-  }
-
-  // Per-batch offsets honouring broadcasting over the batch dims.
-  std::vector<int64_t> a_strides =
-      BroadcastStrides(a_batch, batch);
-  std::vector<int64_t> b_strides =
-      BroadcastStrides(b_batch, batch);
-  std::vector<int64_t> batch_strides = Strides(batch);
-
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  const int64_t a_mat = m * k;
-  const int64_t b_mat = k * n;
-  const int64_t o_mat = m * n;
-  const int64_t* batch_p = batch_strides.data();
-  const int64_t* as_p = a_strides.data();
-  const int64_t* bs_p = b_strides.data();
-  const int64_t batch_rank = static_cast<int64_t>(batch.size());
-  // Parallel over the flattened (batch, row) space so small-m batches and
-  // single large matrices both load every worker. Pointers and scalars are
-  // captured by value to keep them in registers across output stores.
-  runtime::ParallelFor(
-      0, batch_count * m, MatMulRowGrain(k, n),
-      [=](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1;) {
-          const int64_t bi = r / m;
-          const int64_t i0 = r % m;
-          const int64_t i1 = std::min(m, i0 + (r1 - r));
-          int64_t a_off = 0;
-          int64_t b_off = 0;
-          int64_t rem = bi;
-          for (int64_t d = 0; d < batch_rank; ++d) {
-            int64_t coord = rem / batch_p[d];
-            rem %= batch_p[d];
-            a_off += coord * as_p[d];
-            b_off += coord * bs_p[d];
-          }
-          simd::GemmRowsNN(pa + a_off * a_mat, pb + b_off * b_mat,
-                           po + bi * o_mat, i0, i1, k, n);
-          r += i1 - i0;
-        }
-      });
-  return out;
+  return Product(a, b, /*trans_a=*/false, /*trans_b=*/false);
 }
 
 Tensor MatMulNT(const Tensor& a, const Tensor& b) {
-  STWA_CHECK(a.rank() >= 2 && b.rank() >= 2,
-             "MatMulNT needs rank >= 2 inputs");
-  const int64_t m = a.dim(-2);
-  const int64_t k = a.dim(-1);
-  const int64_t n = b.dim(-2);
-  STWA_CHECK(b.dim(-1) == k, "inner dimensions mismatch: ",
-             ShapeToString(a.shape()), " x ", ShapeToString(b.shape()),
-             "^T");
-  // Reduced-precision hook for a registered [n, k] weight operand. A
-  // shared rank-2 B lets the batch flatten into one [batch*m, k] GEMM,
-  // same as MatMul's flatten.
-  if (b.rank() == 2) {
-    if (const auto pack = lowp::Find(b.data(), k, n, /*trans=*/true)) {
-      Shape out_shape(a.shape().begin(), a.shape().end() - 2);
-      out_shape.push_back(m);
-      out_shape.push_back(n);
-      Tensor out = Tensor::Uninit(out_shape);
-      simd::GemmLowp(a.data(), *pack, out.data(), out.size() / std::max<int64_t>(1, n),
-                     /*trans_a=*/false);
-      return out;
-    }
-  }
-  if (a.rank() == 2 && b.rank() == 2 && simd::GemmUsesPackedPath(m, n, k)) {
-    Tensor out = Tensor::Uninit(Shape{m, n});
-    simd::Gemm2D(a.data(), b.data(), out.data(), m, n, k,
-                 /*trans_a=*/false, /*trans_b=*/true);
-    return out;
-  }
-  return BatchedTransposedProduct(
-      a, b, m, n, k,
-      [k, n](const float* pa, const float* pb, float* po, int64_t i0,
-             int64_t i1) { simd::GemmRowsNT(pa, pb, po, i0, i1, k, n); });
+  return Product(a, b, /*trans_a=*/false, /*trans_b=*/true);
 }
 
 Tensor MatMulTN(const Tensor& a, const Tensor& b) {
-  STWA_CHECK(a.rank() >= 2 && b.rank() >= 2,
-             "MatMulTN needs rank >= 2 inputs");
-  const int64_t k = a.dim(-2);
-  const int64_t m = a.dim(-1);
-  const int64_t n = b.dim(-1);
-  STWA_CHECK(b.dim(-2) == k, "inner dimensions mismatch: ",
-             ShapeToString(a.shape()), "^T x ", ShapeToString(b.shape()));
-  // Reduced-precision hook: op(B) is B's natural [k, n] layout here, so a
-  // registered NN pack serves TN too; only op(A) differs.
-  if (a.rank() == 2 && b.rank() == 2) {
-    if (const auto pack = lowp::Find(b.data(), k, n, /*trans=*/false)) {
-      Tensor out = Tensor::Uninit(Shape{m, n});
-      simd::GemmLowp(a.data(), *pack, out.data(), m, /*trans_a=*/true);
-      return out;
-    }
-  }
-  if (a.rank() == 2 && b.rank() == 2 && simd::GemmUsesPackedPath(m, n, k)) {
-    Tensor out = Tensor::Uninit(Shape{m, n});
-    simd::Gemm2D(a.data(), b.data(), out.data(), m, n, k,
-                 /*trans_a=*/true, /*trans_b=*/false);
-    return out;
-  }
-  return BatchedTransposedProduct(
-      a, b, m, n, k,
-      [k, m, n](const float* pa, const float* pb, float* po, int64_t i0,
-                int64_t i1) { simd::GemmRowsTN(pa, pb, po, i0, i1, k, m, n); });
+  return Product(a, b, /*trans_a=*/true, /*trans_b=*/false);
 }
 
 Tensor TransposeLast2(const Tensor& a) {
@@ -574,7 +460,7 @@ Tensor Permute(const Tensor& a, const std::vector<int64_t>& axes) {
   const int64_t* shape_p = out_shape.data();
   const int64_t* strides_p = strides.data();
   runtime::ParallelFor(
-      0, num_runs, std::max<int64_t>(1, kMinChunkWork / inner),
+      0, num_runs, runtime::Grain(inner),
       [=](int64_t r0, int64_t r1) {
         std::vector<int64_t> idx(outer, 0);
         int64_t in_off = 0;
@@ -645,7 +531,7 @@ Tensor Sum(const Tensor& a, int64_t axis, bool keepdims) {
   // bits depend on the tier's lane count.
   const bool vec_last = inner == 1 && extent >= kVecW;
   runtime::ParallelFor(
-      0, outer, std::max<int64_t>(1, kMinChunkWork / (extent * inner + 1)),
+      0, outer, runtime::Grain(extent * inner + 1),
       [=](int64_t o0, int64_t o1) {
         for (int64_t o = o0; o < o1; ++o) {
           if (vec_last) {
@@ -705,7 +591,7 @@ Tensor Max(const Tensor& a, int64_t axis, bool keepdims) {
   // -inf pad lanes.
   const bool vec_last = inner == 1 && extent >= kVecW;
   runtime::ParallelFor(
-      0, outer, std::max<int64_t>(1, kMinChunkWork / (extent * inner + 1)),
+      0, outer, runtime::Grain(extent * inner + 1),
       [=](int64_t o0, int64_t o1) {
         for (int64_t o = o0; o < o1; ++o) {
           if (vec_last) {
@@ -884,7 +770,7 @@ Tensor SoftmaxLast(const Tensor& a) {
   // depends only on the shape, so it is deterministic.
   const bool vec_rows = last >= kVecW;
   runtime::ParallelFor(
-      0, rows, std::max<int64_t>(1, kMinChunkWork / (4 * last)),
+      0, rows, runtime::Grain(4 * last),
       [=](int64_t r0, int64_t r1) {
         SoftmaxRowRange(pa, po, r0, r1, last, vec_rows);
       });
@@ -909,7 +795,7 @@ Tensor SoftmaxLastBackward(const Tensor& y, const Tensor& g) {
   // exactly, so the ragged tail needs no mask.
   const bool vec_rows = last >= kVecW;
   runtime::ParallelFor(
-      0, rows, std::max<int64_t>(1, kMinChunkWork / (4 * last)),
+      0, rows, runtime::Grain(4 * last),
       [=](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
           const float* yr = py + r * last;
@@ -1237,8 +1123,7 @@ Tensor FusedMap(const Tensor& head, const std::vector<Tensor>& sides,
   // Each chunk does `count` op-equivalents per element; keep the
   // per-chunk work near the shared floor.
   if (run == size) {
-    const int64_t grain =
-        std::max<int64_t>(1, kMinChunkWork / std::max<int64_t>(1, count));
+    const int64_t grain = runtime::Grain(count);
     runtime::ParallelFor(
         0, size, grain, [=](int64_t begin, int64_t end) {
           int64_t i = begin;
@@ -1274,8 +1159,7 @@ Tensor FusedMap(const Tensor& head, const std::vector<Tensor>& sides,
   // from the flat path only in where vector blocks fall — every op is
   // lane-independent, so per-element results match the eager broadcast.
   const int64_t rows = size / run;
-  const int64_t row_grain = std::max<int64_t>(
-      1, kMinChunkWork / std::max<int64_t>(1, count * run));
+  const int64_t row_grain = runtime::Grain(count * run);
   runtime::ParallelFor(0, rows, row_grain, [=](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       const int64_t base = r * run;
@@ -1351,9 +1235,7 @@ Tensor FusedAttention(const Tensor& q, const Tensor& kt, const Tensor& v,
   // Same shape-only row decision as the standalone SoftmaxLast.
   const bool vec_rows = n >= kVecW;
   // One slice = both GEMMs + scale + softmax worth of work.
-  const int64_t slice_work =
-      std::max<int64_t>(1, m * n * (k + d + 4));
-  const int64_t grain = std::max<int64_t>(1, kMinChunkWork / slice_work);
+  const int64_t grain = runtime::Grain(m * n * (k + d + 4));
   runtime::ParallelFor(
       0, batch_count, grain, [=](int64_t b0, int64_t b1) {
         // Per-chunk pooled score scratch, recycled across the slices of

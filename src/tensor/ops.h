@@ -160,18 +160,20 @@ Tensor Relu(const Tensor& a);
 
 // --- Linear algebra ------------------------------------------------------
 
-/// 2-D matrix product [m,k] x [k,n] -> [m,n].
-Tensor MatMul2D(const Tensor& a, const Tensor& b);
-
-/// Batched matrix product. Accepts [..., m, k] x [..., k, n] where the
-/// leading batch dimensions are equal, or either operand is rank-2 (then it
-/// is shared across the other's batch).
+/// Batched matrix product [..., m, k] x [..., k, n] -> [..., m, n]. The
+/// batch dims broadcast (a rank-2 operand is shared across the other's
+/// batch). Each fp32 output element is one k-ascending FMA chain. A
+/// rank-2 B with a registered reduced-precision pack (tensor/lowp_cache.h)
+/// runs on that pack instead, here, in MatMulNT and in rank-2 MatMulTN.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
 /// Batched a @ b^T without materialising the transpose:
 /// [..., m, k] x [..., n, k] -> [..., m, n]. Batch dims broadcast like
-/// MatMul. Both operands are read contiguously along k (dot-product form);
-/// the k accumulation order is ascending, as in MatMul.
+/// MatMul. Both operands are read contiguously along k (dot-product form).
+/// The k order depends on the route: a rank-2 product above the packed
+/// threshold (simd::GemmUsesPackedPath) is one k-ascending FMA chain; every
+/// other product, batched ones included, sums k in fixed lane accumulators
+/// combined in a fixed tree (simd::GemmRowsNT).
 Tensor MatMulNT(const Tensor& a, const Tensor& b);
 
 /// Batched a^T @ b without materialising the transpose:

@@ -304,13 +304,13 @@ TEST(WindowAttentionTest, FirstWindowMatchesManualProxyAttention) {
   ASSERT_FALSE(proxy.empty());
   Tensor x0 = ops::Slice(ops::Slice(x.value(), 1, 0, 1), 2, 0, 3)
                   .Reshape({3, 1});                      // [S, F]
-  Tensor keys = ops::MatMul2D(x0, k_w);                  // [S, d]
-  Tensor values = ops::MatMul2D(x0, v_w);                // [S, d]
+  Tensor keys = ops::MatMul(x0, k_w);                    // [S, d]
+  Tensor values = ops::MatMul(x0, v_w);                  // [S, d]
   Tensor p0 = ops::Slice(ops::Slice(proxy, 0, 0, 1), 1, 0, 1)
                   .Reshape({2, 4});                      // [p, d]
   Tensor scores = ops::MulScalar(
-      ops::MatMul2D(p0, ops::TransposeLast2(keys)), 1.0f / 2.0f);
-  Tensor h = ops::MatMul2D(ops::SoftmaxLast(scores), values);  // [p, d]
+      ops::MatMul(p0, ops::TransposeLast2(keys)), 1.0f / 2.0f);
+  Tensor h = ops::MatMul(ops::SoftmaxLast(scores), values);    // [p, d]
   Tensor manual = ops::Mean(h, 0);                             // [d]
   Tensor got = ops::Slice(ops::Slice(ops::Slice(out, 0, 0, 1), 1, 0, 1),
                           2, 0, 1)

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <future>
 #include <string>
 #include <thread>
@@ -747,6 +748,24 @@ TEST(FleetLineSessionTest, ReloadCommandSwapsAndReportsFailuresSoftly) {
   ASSERT_TRUE(served.has_value());
   EXPECT_EQ(served->rfind("forecast ok=1", 0), 0u) << *served;
   std::remove(flipped.c_str());
+
+  // Reload is sandboxed to the directory of the profile's ckpt= file:
+  // an absolute path elsewhere, a ".." escape and a symlink inside the
+  // directory that points outside are all refused softly, unopened.
+  const std::string link = TempPath("stwa_fleet_proto_link.bin");
+  std::remove(link.c_str());
+  std::filesystem::create_symlink("/etc/passwd", link);
+  for (const std::string& outside :
+       {std::string("/etc/passwd"), TempPath("../etc/passwd"), link}) {
+    auto refused = session.Handle("reload cityX " + outside, &quit);
+    ASSERT_TRUE(refused.has_value());
+    EXPECT_EQ(refused->rfind("reload ok=0 profile=cityX", 0), 0u)
+        << outside << ": " << *refused;
+    EXPECT_NE(refused->find("ckpt="), std::string::npos) << *refused;
+    EXPECT_EQ(node.registry().Get("cityX").Version(), 2) << outside;
+  }
+  EXPECT_EQ(node.Stats().protocol_errors, 0);
+  std::remove(link.c_str());
 
   auto unknown = session.Handle("reload nosuch /tmp/x", &quit);
   ASSERT_TRUE(unknown.has_value());

@@ -316,7 +316,7 @@ TEST(LowpCacheTest, MatMulRoutesThroughRegisteredPack) {
   const int64_t m = 10, k = 24, n = 18;
   Tensor a = Tensor::Randn({m, k}, rng);
   Tensor b = Tensor::Randn({k, n}, rng);
-  Tensor fp32_out = ops::MatMul2D(a, b).Clone();
+  Tensor fp32_out = ops::MatMul(a, b).Clone();
 
   const auto pack = simd::PackWeights(b.data(), k, n, false,
                                       simd::Precision::kBf16, nullptr);
@@ -324,15 +324,15 @@ TEST(LowpCacheTest, MatMulRoutesThroughRegisteredPack) {
   simd::GemmBf16Ref(a.data(), *pack, want.data(), m, false);
 
   Register(b.data(), pack);
-  Tensor got = ops::MatMul2D(a, b);
+  Tensor got = ops::MatMul(a, b);
   EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         sizeof(float) * static_cast<size_t>(got.size())),
             0)
-      << "MatMul2D did not dispatch to the registered bf16 pack";
+      << "rank-2 MatMul did not dispatch to the registered bf16 pack";
   Unregister(b.data());
 
   // After unregistering, the fp32 path is back, bit-for-bit.
-  Tensor again = ops::MatMul2D(a, b);
+  Tensor again = ops::MatMul(a, b);
   EXPECT_EQ(std::memcmp(again.data(), fp32_out.data(),
                         sizeof(float) * static_cast<size_t>(again.size())),
             0);
@@ -357,6 +357,69 @@ TEST(LowpCacheTest, BatchedMatMulWithRankTwoWeightRoutes) {
                         sizeof(float) * static_cast<size_t>(got.size())),
             0)
       << "batched MatMul did not flatten onto the registered int8 pack";
+}
+
+TEST(LowpCacheTest, BatchedMatMulNTFlattensOntoTransposedPack) {
+  // A shared [n, k] weight used as B^T: a rank-3 A flattens its batch
+  // into one GEMM over the trans=true pack.
+  Rng rng(23);
+  const int64_t batch = 2, m = 7, k = 20, n = 9;
+  Tensor x = Tensor::Randn({batch, m, k}, rng);
+  Tensor w = Tensor::Randn({n, k}, rng);
+  const auto pack = simd::PackWeights(w.data(), k, n, /*trans=*/true,
+                                      simd::Precision::kBf16, nullptr);
+  Tensor want = Tensor::Uninit({batch * m, n});
+  simd::GemmBf16Ref(x.data(), *pack, want.data(), batch * m, false);
+
+  Register(w.data(), pack);
+  Tensor got = ops::MatMulNT(x, w);
+  Unregister(w.data());
+  ASSERT_EQ(got.shape(), (Shape{batch, m, n}));
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<size_t>(got.size())),
+            0)
+      << "batched MatMulNT did not flatten onto the registered bf16 pack";
+}
+
+TEST(LowpCacheTest, Rank2MatMulTNRunsPackWithTransposedA) {
+  // op(B) is B's natural [k, n] layout, so an NN pack serves rank-2 TN
+  // with GemmLowp reading A transposed.
+  Rng rng(24);
+  const int64_t m = 11, k = 14, n = 10;
+  Tensor at = Tensor::Randn({k, m}, rng);
+  Tensor b = Tensor::Randn({k, n}, rng);
+  const auto pack = simd::PackWeights(b.data(), k, n, false,
+                                      simd::Precision::kInt8, nullptr);
+  Tensor want = Tensor::Uninit({m, n});
+  simd::GemmInt8Ref(at.data(), *pack, want.data(), m, /*trans_a=*/true);
+
+  Register(b.data(), pack);
+  Tensor got = ops::MatMulTN(at, b);
+  Unregister(b.data());
+  ASSERT_EQ(got.shape(), (Shape{m, n}));
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<size_t>(got.size())),
+            0)
+      << "rank-2 MatMulTN did not dispatch to the registered int8 pack";
+}
+
+TEST(LowpCacheTest, BatchedMatMulTNIgnoresRegisteredPack) {
+  // A rank-3 A^T has no contiguous rows to flatten, so a registered pack
+  // for B is not used and the product stays fp32.
+  Rng rng(25);
+  const int64_t batch = 2, m = 6, k = 13, n = 8;
+  Tensor at = Tensor::Randn({batch, k, m}, rng);
+  Tensor b = Tensor::Randn({k, n}, rng);
+  Tensor fp32_out = ops::MatMulTN(at, b).Clone();
+
+  Register(b.data(), simd::PackWeights(b.data(), k, n, false,
+                                       simd::Precision::kBf16, nullptr));
+  Tensor got = ops::MatMulTN(at, b);
+  Unregister(b.data());
+  EXPECT_EQ(std::memcmp(got.data(), fp32_out.data(),
+                        sizeof(float) * static_cast<size_t>(got.size())),
+            0)
+      << "batched MatMulTN used the registered pack";
 }
 
 }  // namespace

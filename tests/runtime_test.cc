@@ -61,6 +61,18 @@ TEST(ParallelForTest, GrainLargerThanRangeRunsInline) {
   EXPECT_EQ(seen_end, 10);
 }
 
+TEST(ParallelForTest, GrainDividesTheChunkFloorAndStaysPositive) {
+  // Chunk boundaries follow this rule, so the bit-identity contracts of
+  // every kernel that uses it rest on these values.
+  static_assert(runtime::kMinChunkWork == 16384);
+  EXPECT_EQ(runtime::Grain(0), 16384);
+  EXPECT_EQ(runtime::Grain(1), 16384);
+  EXPECT_EQ(runtime::Grain(4), 4096);
+  EXPECT_EQ(runtime::Grain(1000), 16);
+  EXPECT_EQ(runtime::Grain(16384), 1);
+  EXPECT_EQ(runtime::Grain(int64_t{1} << 40), 1);
+}
+
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   runtime::SetNumThreads(4);
   const int64_t n = 100000;
@@ -237,7 +249,7 @@ TEST(ParallelKernelTest, EmptyTensorsSurvive) {
   ExpectThreadInvariant([&] { return ops::Relu(a); });
   Tensor m(Shape{0, 5});
   Tensor n(Shape{5, 3});
-  ExpectThreadInvariant([&] { return ops::MatMul2D(m, n); });
+  ExpectThreadInvariant([&] { return ops::MatMul(m, n); });
 }
 
 TEST(ParallelKernelTest, BroadcastBinaryMatchesSerial) {
@@ -270,9 +282,9 @@ TEST(ParallelKernelTest, MatMulMatchesNaiveReference) {
       }
     }
     runtime::SetNumThreads(4);
-    EXPECT_TRUE(BitIdentical(ref, ops::MatMul2D(a, b)));
+    EXPECT_TRUE(BitIdentical(ref, ops::MatMul(a, b)));
     runtime::SetNumThreads(0);
-    ExpectThreadInvariant([&] { return ops::MatMul2D(a, b); });
+    ExpectThreadInvariant([&] { return ops::MatMul(a, b); });
   }
 }
 

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -267,7 +268,7 @@ TEST(SimdGemmTest, MatMul2DMatchesReferenceOverGrid) {
         Tensor a = Tensor::Randn({m, k}, rng);
         Tensor b = Tensor::Randn({k, n}, rng);
         EXPECT_TRUE(BitIdentical(RefMatMul(a, b, m, n, k),
-                                 ops::MatMul2D(a, b)))
+                                 ops::MatMul(a, b)))
             << "NN " << m << "x" << n << "x" << k;
       }
     }
@@ -306,20 +307,52 @@ TEST(SimdGemmTest, BatchedMatMulBitMatchesRank2Kernel) {
   // same bits (identical per-element accumulation chains). The last rows
   // are the serving shapes: the 12-wide forecast head and the window
   // attention products over windows of 3 and 2.
+  //
+  // Batched NT, with a batched or a shared rank-2 B, stays on the lane
+  // kernel even where rank-2 NT takes the packed path (64^3), so its
+  // slices match the lane-tree reference. Batched TN keeps the
+  // k-ascending chain on every route.
   Rng rng(103);
+  const auto slice = [](const Tensor& t, int64_t s, int64_t rows,
+                        int64_t cols) {
+    return ops::Slice(t, 0, s, 1).Reshape({rows, cols});
+  };
   for (auto [m, k, n] : std::vector<std::array<int64_t, 3>>{
            {5, 7, 3}, {64, 64, 64}, {65, 33, 17}, {64, 256, 12},
            {1, 8, 3}, {1, 8, 2}, {1, 3, 8}, {1, 2, 8}}) {
     Tensor a = Tensor::Randn({2, m, k}, rng);
     Tensor b = Tensor::Randn({2, k, n}, rng);
+    Tensor bt = Tensor::Randn({2, n, k}, rng);
+    Tensor at = Tensor::Randn({2, k, m}, rng);
+    Tensor bt2 = Tensor::Randn({n, k}, rng);
+    Tensor b2 = Tensor::Randn({k, n}, rng);
     Tensor batched = ops::MatMul(a, b);
+    Tensor nt = ops::MatMulNT(a, bt);
+    Tensor nt_shared = ops::MatMulNT(a, bt2);
+    Tensor tn = ops::MatMulTN(at, b);
+    Tensor tn_shared = ops::MatMulTN(at, b2);
     for (int64_t s = 0; s < 2; ++s) {
-      Tensor a2 = ops::Slice(a, 0, s, 1).Reshape({m, k});
-      Tensor b2 = ops::Slice(b, 0, s, 1).Reshape({k, n});
-      Tensor c2 = ops::MatMul2D(a2, b2);
-      Tensor cs = ops::Slice(batched, 0, s, 1).Reshape({m, n});
-      EXPECT_TRUE(BitIdentical(c2, cs)) << m << "x" << k << "x" << n
-                                        << " slice " << s;
+      const std::string where = std::to_string(m) + "x" + std::to_string(k) +
+                                "x" + std::to_string(n) + " slice " +
+                                std::to_string(s);
+      Tensor as = slice(a, s, m, k);
+      Tensor ats = slice(at, s, k, m);
+      EXPECT_TRUE(BitIdentical(ops::MatMul(as, slice(b, s, k, n)),
+                               slice(batched, s, m, n)))
+          << "NN " << where;
+      EXPECT_TRUE(BitIdentical(RefMatMulNTLanes(as, slice(bt, s, n, k), m,
+                                                n, k),
+                               slice(nt, s, m, n)))
+          << "NT " << where;
+      EXPECT_TRUE(BitIdentical(RefMatMulNTLanes(as, bt2, m, n, k),
+                               slice(nt_shared, s, m, n)))
+          << "NT shared B " << where;
+      EXPECT_TRUE(BitIdentical(RefMatMulTN(ats, slice(b, s, k, n), m, n, k),
+                               slice(tn, s, m, n)))
+          << "TN " << where;
+      EXPECT_TRUE(BitIdentical(RefMatMulTN(ats, b2, m, n, k),
+                               slice(tn_shared, s, m, n)))
+          << "TN shared B " << where;
     }
   }
 }
@@ -427,7 +460,7 @@ TEST(SimdDeterminismTest, KernelsBitIdenticalAcrossThreadCounts) {
   Tensor big = Tensor::Randn({37, 129}, rng);
   auto run_all = [&] {
     std::vector<Tensor> outs;
-    outs.push_back(ops::MatMul2D(a, b));
+    outs.push_back(ops::MatMul(a, b));
     outs.push_back(ops::MatMulNT(a, b));
     outs.push_back(ops::MatMulTN(a, b));
     outs.push_back(ops::SoftmaxLast(big));

@@ -231,7 +231,7 @@ INSTANTIATE_TEST_SUITE_P(RandomShapes, BroadcastSweep,
 TEST(TensorOps, MatMul2DKnownValues) {
   Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor b({3, 2}, {7, 8, 9, 10, 11, 12});
-  Tensor c = ops::MatMul2D(a, b);
+  Tensor c = ops::MatMul(a, b);
   EXPECT_TRUE(AllClose(c, Tensor({2, 2}, {58, 64, 139, 154})));
 }
 
@@ -250,7 +250,7 @@ TEST(TensorOps, BatchedMatMulEqualBatches) {
   Tensor a2 = ops::Slice(a, 0, 2, 1).Reshape({3, 5});
   Tensor b2 = ops::Slice(b, 0, 2, 1).Reshape({5, 2});
   Tensor c2 = ops::Slice(c, 0, 2, 1).Reshape({3, 2});
-  EXPECT_TRUE(AllClose(c2, ops::MatMul2D(a2, b2)));
+  EXPECT_TRUE(AllClose(c2, ops::MatMul(a2, b2)));
 }
 
 TEST(TensorOps, MatMulNTMatchesTransposeThenMatMul) {
@@ -265,7 +265,7 @@ TEST(TensorOps, MatMulNTMatchesTransposeThenMatMul) {
   Tensor a2 = Tensor::Randn({3, 13}, rng);
   Tensor b2 = Tensor::Randn({6, 13}, rng);
   EXPECT_TRUE(AllClose(ops::MatMulNT(a2, b2),
-                       ops::MatMul2D(a2, ops::TransposeLast2(b2))));
+                       ops::MatMul(a2, ops::TransposeLast2(b2))));
 }
 
 TEST(TensorOps, MatMulTNMatchesTransposeThenMatMul) {
@@ -302,7 +302,7 @@ TEST(TensorOps, BatchedMatMulSharedRhs) {
   ASSERT_EQ(c.shape(), (Shape{3, 2, 5}));
   Tensor a0 = ops::Slice(a, 0, 1, 1).Reshape({2, 4});
   Tensor c0 = ops::Slice(c, 0, 1, 1).Reshape({2, 5});
-  EXPECT_TRUE(AllClose(c0, ops::MatMul2D(a0, w)));
+  EXPECT_TRUE(AllClose(c0, ops::MatMul(a0, w)));
 }
 
 TEST(TensorOps, BatchedMatMulSharedLhs) {
@@ -313,7 +313,7 @@ TEST(TensorOps, BatchedMatMulSharedLhs) {
   ASSERT_EQ(c.shape(), (Shape{3, 2, 5}));
   Tensor b1 = ops::Slice(b, 0, 1, 1).Reshape({4, 5});
   Tensor c1 = ops::Slice(c, 0, 1, 1).Reshape({2, 5});
-  EXPECT_TRUE(AllClose(c1, ops::MatMul2D(a, b1)));
+  EXPECT_TRUE(AllClose(c1, ops::MatMul(a, b1)));
 }
 
 TEST(TensorOps, BatchedMatMulBroadcastBatchDims) {
@@ -325,7 +325,7 @@ TEST(TensorOps, BatchedMatMulBroadcastBatchDims) {
   ASSERT_EQ(c.shape(), (Shape{2, 5, 3, 2}));
 }
 
-// Property sweep: batched MatMul equals per-slice MatMul2D.
+// Property sweep: batched MatMul equals per-slice rank-2 MatMul.
 class MatMulSweep : public ::testing::TestWithParam<std::tuple<int, int, int>> {
 };
 
@@ -334,7 +334,7 @@ TEST_P(MatMulSweep, MatchesNaive) {
   Rng rng(100 + m * 7 + k * 3 + n);
   Tensor a = Tensor::Randn({m, k}, rng);
   Tensor b = Tensor::Randn({k, n}, rng);
-  Tensor c = ops::MatMul2D(a, b);
+  Tensor c = ops::MatMul(a, b);
   // Naive triple loop.
   Tensor expected(Shape{m, n});
   for (int i = 0; i < m; ++i) {
