@@ -19,7 +19,7 @@ namespace {
 double EstimateGb(const std::string& model, core::MemoryWorkload w) {
   if (model == "STFGNN") return core::FusionGraphGb(w);
   if (model == "EnhanceNet") return core::EnhanceNetGb(w);
-  if (model == "AGCRN") return core::AdaptiveGraphRnnGb(w);
+  if (model == "AGCRN") return core::AdaptiveGraphGb(w);
   // ST-WA: window attention with the H=72 configuration (S=6, p=2).
   return 1.8 * core::WindowAttentionGb(w, {6, 6, 2}, 2);
 }

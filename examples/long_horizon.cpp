@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     };
     table.AddRow({std::string(name) + " N=" + std::to_string(n),
                   cell(1.8 * core::WindowAttentionGb(w, {6, 6, 2}, 2)),
-                  cell(core::AdaptiveGraphRnnGb(w)),
+                  cell(core::AdaptiveGraphGb(w)),
                   cell(core::EnhanceNetGb(w)),
                   cell(core::FusionGraphGb(w))});
   }

@@ -189,10 +189,6 @@ Var MseLoss(const Var& pred, const Var& target) {
   return MeanAll(Square(Sub(pred, target)));
 }
 
-Var MaeLoss(const Var& pred, const Var& target) {
-  return MeanAll(Abs(Sub(pred, target)));
-}
-
 Var HuberLoss(const Var& pred, const Var& target, float delta) {
   STWA_CHECK(delta > 0.0f, "Huber delta must be positive");
   Var diff = Sub(pred, target);

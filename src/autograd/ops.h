@@ -95,9 +95,6 @@ Var Dropout(const Var& a, float p, bool training, Rng& rng);
 /// Mean squared error over all elements.
 Var MseLoss(const Var& pred, const Var& target);
 
-/// Mean absolute error over all elements.
-Var MaeLoss(const Var& pred, const Var& target);
-
 /// Huber loss (Eq. 21 of the paper) with threshold delta, averaged over all
 /// elements. Quadratic within |e| <= delta, linear outside.
 Var HuberLoss(const Var& pred, const Var& target, float delta = 1.0f);

@@ -46,9 +46,6 @@ class Agcrn : public train::ForecastModel {
   ag::Var Forward(const Tensor& x, bool training) override;
   std::string name() const override { return "AGCRN"; }
 
-  /// Learned node embeddings [N, emb] (Figure-9-style analysis).
-  Tensor NodeEmbeddings() const { return node_emb_.value().Clone(); }
-
  private:
   BaselineConfig config_;
   int64_t emb_dim_ = 8;

@@ -9,14 +9,5 @@ ag::Var GaussianKlToStdNormal(const ag::Var& mean, const ag::Var& var) {
   return ag::MulScalar(ag::MeanAll(term), 0.5f);
 }
 
-ag::Var StwaObjective(const ag::Var& pred, const ag::Var& target,
-                      float huber_delta, const ag::Var& kl, float alpha) {
-  ag::Var loss = ag::HuberLoss(pred, target, huber_delta);
-  if (kl.defined() && alpha != 0.0f) {
-    loss = ag::Add(loss, ag::MulScalar(kl, alpha));
-  }
-  return loss;
-}
-
 }  // namespace core
 }  // namespace stwa

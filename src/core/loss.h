@@ -1,4 +1,5 @@
-// Loss helpers for the ST-WA objective (paper Eq. 20-21).
+// The KL term of the ST-WA objective (paper Eq. 20). train::StepEngine
+// builds the full Huber + alpha * KL loss itself.
 
 #ifndef STWA_CORE_LOSS_H_
 #define STWA_CORE_LOSS_H_
@@ -11,11 +12,6 @@ namespace core {
 /// Analytic KL( N(mean, var) || N(0, I) ) for diagonal Gaussians, averaged
 /// over all elements: 0.5 * mean(mean^2 + var - log(var) - 1).
 ag::Var GaussianKlToStdNormal(const ag::Var& mean, const ag::Var& var);
-
-/// The full training objective of Eq. 20: Huber(pred, target) + alpha * kl.
-/// `kl` may be undefined (pure Huber).
-ag::Var StwaObjective(const ag::Var& pred, const ag::Var& target,
-                      float huber_delta, const ag::Var& kl, float alpha);
 
 }  // namespace core
 }  // namespace stwa

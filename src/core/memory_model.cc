@@ -46,12 +46,8 @@ double SlidingWindowAttentionGb(const MemoryWorkload& w, int64_t window) {
   return ToGb(w.layers * (scores + qkv));
 }
 
-double RnnGb(const MemoryWorkload& w) {
+double AdaptiveGraphGb(const MemoryWorkload& w) {
   // Unrolled gate activations: ~4 gate tensors of B*N*d per step per layer.
-  return ToGb(4.0 * w.layers * w.batch * w.sensors * w.history * w.d_model);
-}
-
-double AdaptiveGraphRnnGb(const MemoryWorkload& w) {
   const double rnn = 4.0 * w.layers * w.batch * w.sensors * w.history *
                      w.d_model;
   // The adaptive adjacency softmax(relu(E E^T)) is computed once per step,

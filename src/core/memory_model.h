@@ -52,11 +52,8 @@ double WindowAttentionGb(const MemoryWorkload& w,
 /// Activation GB for sliding-window attention with window S (LongFormer).
 double SlidingWindowAttentionGb(const MemoryWorkload& w, int64_t window);
 
-/// Activation GB for plain RNN/TCN unrolls (DCRNN, STGCN, GWN, meta-LSTM).
-double RnnGb(const MemoryWorkload& w);
-
 /// Activation GB for AGCRN (RNN states + adaptive adjacency).
-double AdaptiveGraphRnnGb(const MemoryWorkload& w);
+double AdaptiveGraphGb(const MemoryWorkload& w);
 
 /// Activation GB for EnhanceNet (per-node generated gate caches).
 double EnhanceNetGb(const MemoryWorkload& w);

@@ -121,14 +121,6 @@ bool IsWeekend(int64_t step, int64_t steps_per_day) {
   return dow == 5 || dow == 6;
 }
 
-std::vector<PlannedEvent> ShiftSchedule::ActiveAt(int64_t step) const {
-  std::vector<PlannedEvent> active;
-  for (const PlannedEvent& e : events) {
-    if (step >= e.start_step && step < e.end_step) active.push_back(e);
-  }
-  return active;
-}
-
 int64_t ShiftSchedule::NextEventAfter(int64_t step) const {
   int64_t next = -1;
   for (const PlannedEvent& e : events) {

@@ -83,10 +83,6 @@ struct PlannedEvent {
 struct ShiftSchedule {
   std::vector<PlannedEvent> events;
 
-  /// Events perturbing flow at `step` (incidents overlapping it plus an
-  /// active regime shift).
-  std::vector<PlannedEvent> ActiveAt(int64_t step) const;
-
   /// Start of the first event with start_step >= `step`, or -1.
   int64_t NextEventAfter(int64_t step) const;
 };

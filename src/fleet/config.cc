@@ -1,7 +1,10 @@
 #include "fleet/config.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
@@ -13,19 +16,34 @@ namespace {
 
 int64_t ParseInt(const std::string& value, const std::string& line) {
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(value.c_str(), &end, 10);
-  STWA_CHECK(end != nullptr && *end == '\0' && !value.empty(),
+  STWA_CHECK(end != nullptr && *end == '\0' && !value.empty() &&
+                 errno != ERANGE,
              "fleet config: '", value, "' is not an integer in line '",
              line, "'");
   return static_cast<int64_t>(v);
 }
 
-double ParseDouble(const std::string& value, const std::string& line) {
+/// An int-typed field: a value outside int is refused, not narrowed.
+int ParseIntRange(const std::string& value, const std::string& line) {
+  const int64_t v = ParseInt(value, line);
+  STWA_CHECK(v >= std::numeric_limits<int>::min() &&
+                 v <= std::numeric_limits<int>::max(),
+             "fleet config: '", value, "' is out of range in line '", line,
+             "'");
+  return static_cast<int>(v);
+}
+
+/// Quota rates and bursts: finite and non-negative (a NaN or negative
+/// value would otherwise admit every request).
+double ParseRate(const std::string& value, const std::string& line) {
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  STWA_CHECK(end != nullptr && *end == '\0' && !value.empty(),
-             "fleet config: '", value, "' is not a number in line '", line,
-             "'");
+  STWA_CHECK(end != nullptr && *end == '\0' && !value.empty() &&
+                 std::isfinite(v) && v >= 0.0,
+             "fleet config: '", value,
+             "' is not a finite non-negative number in line '", line, "'");
   return v;
 }
 
@@ -55,7 +73,7 @@ FleetProfileConfig ParseProfileLine(const std::vector<std::string>& tokens,
     } else if (key == "shards") {
       profile.shards = ParseInt(value, line);
     } else if (key == "workers") {
-      profile.workers = static_cast<int>(ParseInt(value, line));
+      profile.workers = ParseIntRange(value, line);
     } else if (key == "max_batch") {
       profile.max_batch = ParseInt(value, line);
     } else if (key == "max_delay_us") {
@@ -86,10 +104,10 @@ TenantQuota ParseQuotaOptions(const std::vector<std::string>& tokens,
   for (size_t i = first; i < tokens.size(); ++i) {
     const auto [key, value] = SplitOption(tokens[i], line);
     if (key == "rate") {
-      quota.rate = ParseDouble(value, line);
+      quota.rate = ParseRate(value, line);
       have_rate = true;
     } else if (key == "burst") {
-      quota.burst = ParseDouble(value, line);
+      quota.burst = ParseRate(value, line);
     } else {
       STWA_FAIL("fleet config: unknown quota option '", key,
                 "' in line '", line, "'");

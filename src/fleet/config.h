@@ -7,7 +7,9 @@
 //   default_quota rate=<tokens/s> [burst=<cap>]
 //
 // Unknown directives and unknown key=value options are errors (a typo
-// silently serving defaults would be worse). rate=0 means unlimited.
+// silently serving defaults would be worse), and so are values that do
+// not fit their field: integers beyond int64 (or int, for workers=) and
+// NaN, infinite or negative rates and bursts. rate=0 means unlimited.
 //
 // max_delay_us bounds how long a one-shot request waits for batch
 // companions (serve::BatchingOptions::max_delay). Fleet tile forecasts and

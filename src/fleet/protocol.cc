@@ -28,9 +28,23 @@ bool InCheckpointDir(const std::string& path, const std::string& configured) {
 
 FleetNode::FleetNode(const FleetConfig& config)
     : registry_(config.profiles), admission_(config.default_quota) {
+  tenants_.insert("default");
   for (const auto& [tenant, quota] : config.quotas) {
     admission_.SetQuota(tenant, quota);
+    tenants_.insert(tenant);
   }
+  configured_tenants_ = tenants_.size();
+}
+
+bool FleetNode::AcceptTenant(const std::string& tenant) {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  if (tenants_.count(tenant) > 0) return true;
+  if (tenants_.size() - configured_tenants_ >=
+      static_cast<size_t>(kMaxProtocolTenants)) {
+    return false;
+  }
+  tenants_.insert(tenant);
+  return true;
 }
 
 void FleetNode::RecordForecast(const std::string& tenant, double micros) {
@@ -80,6 +94,11 @@ std::optional<std::string> FleetLineSession::Handle(const std::string& line,
   }
   if (head == "tenant") {
     if (tokens.size() != 2) return Error("usage: tenant <name>");
+    if (!node_.AcceptTenant(tokens[1])) {
+      return Error("too many tenants: at most " +
+                   std::to_string(kMaxProtocolTenants) +
+                   " names beyond the configured ones");
+    }
     tenant_ = tokens[1];
     return "ok tenant=" + tenant_;
   }

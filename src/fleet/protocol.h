@@ -14,7 +14,10 @@
 //                                   generation/shard fields
 // Node commands:
 //   profiles                        -> one line listing every profile
-//   tenant <name>                   quota identity for this connection
+//   tenant <name>                   quota identity for this connection;
+//                                   at most kMaxProtocolTenants names
+//                                   beyond the configured quota tenants
+//                                   (and "default"), else "err ..."
 //   reload <profile> <path>         hot-swap a profile's checkpoint; the
 //                                   path must resolve (after ".." and
 //                                   symlinks) into the directory of the
@@ -39,6 +42,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_set>
 
 #include "fleet/admission.h"
 #include "fleet/config.h"
@@ -47,6 +51,11 @@
 
 namespace stwa {
 namespace fleet {
+
+/// Distinct tenant names `tenant` lines may introduce, node-wide, besides
+/// "default" and the tenants named in the config. Each accepted name costs
+/// a token bucket and a latency histogram for the node's lifetime.
+inline constexpr int64_t kMaxProtocolTenants = 256;
 
 /// Node-wide serving counters (across connections and profiles).
 struct FleetNodeStats {
@@ -72,6 +81,10 @@ class FleetNode {
   /// Records one completed forecast's end-to-end latency.
   void RecordForecast(const std::string& tenant, double micros);
 
+  /// True when `tenant` may be used: it is "default", configured, already
+  /// accepted, or a new name within kMaxProtocolTenants (then remembered).
+  bool AcceptTenant(const std::string& tenant);
+
   /// Counts one malformed client line.
   void CountProtocolError();
 
@@ -83,6 +96,10 @@ class FleetNode {
   mutable std::mutex stats_mutex_;
   metrics::LabeledHistograms per_tenant_;
   int64_t protocol_errors_ = 0;
+  /// Accepted tenant names (guarded by stats_mutex_); the first
+  /// `configured_tenants_` are "default" and the config's quota tenants.
+  std::unordered_set<std::string> tenants_;
+  size_t configured_tenants_ = 0;
 };
 
 /// Per-connection command loop state (tenant identity + error counter).

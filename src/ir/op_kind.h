@@ -81,7 +81,9 @@ enum class OpKind : uint8_t {
   // eager tracing never constructs them. kFusedMap runs an elementwise
   // chain (stage program in attrs.ints/scalars) in one pooled pass;
   // kFusedAttention runs a matmul→scale→softmax→matmul quad without
-  // materialising the score tensor (scale in attrs.scalar).
+  // materialising the score tensor (scale in attrs.scalar). Forward-only:
+  // the rewriter fuses only gradient-free nodes, so neither kind has a
+  // backward kernel.
   kFusedMap,
   kFusedAttention,
 

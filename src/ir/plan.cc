@@ -5,12 +5,10 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
 #include "ir/capture.h"
 #include "ir/registry.h"
 #include "ir/rewrite.h"
 #include "runtime/parallel.h"
-#include "tensor/buffer_pool.h"
 
 namespace stwa {
 namespace ir {
@@ -280,23 +278,6 @@ std::unique_ptr<ExecutionPlan> GraphCapture::Finish(
   // replay, but the capture step ran without releases). Leaves keep theirs:
   // parameter gradient lifecycle belongs to the caller.
   for (Node* n : plan->forward_) n->grad = Tensor();
-
-  // Compact profile: a row per kind that actually appears in a schedule,
-  // allocated in kind order so row order is stable across captures.
-  plan->profile_slot_.fill(-1);
-  {
-    std::array<bool, kNumOpKinds> present{};
-    for (Node* n : plan->forward_) present[static_cast<int>(n->kind)] = true;
-    for (Node* n : plan->backward_) present[static_cast<int>(n->kind)] = true;
-    for (int k = 0; k < kNumOpKinds; ++k) {
-      if (!present[k]) continue;
-      plan->profile_slot_[k] = static_cast<int16_t>(plan->profile_.size());
-      OpProfile prof;
-      prof.kind = static_cast<OpKind>(k);
-      prof.name = OpKindName(static_cast<OpKind>(k));
-      plan->profile_.push_back(prof);
-    }
-  }
   return plan;
 }
 
@@ -348,24 +329,18 @@ void ExecutionPlan::RunForwardRegions() {
 }
 
 void ExecutionPlan::RunForward() {
-  if (!profiling_ && RegionParModeEnabled()) {
+  if (RegionParModeEnabled()) {
     RunForwardRegions();
-    return;
+  } else {
+    RunForwardSerial(nullptr);
   }
+}
+
+void ExecutionPlan::RunForwardSerial(const std::vector<uint8_t>* execute) {
   const size_t count = forward_.size();
   for (size_t i = 0; i < count; ++i) {
-    Node* n = forward_[i];
-    if (profiling_) {
-      OpProfile& prof = profile_[profile_slot_[static_cast<int>(n->kind)]];
-      const pool::PoolStats before = pool::Stats();
-      Stopwatch timer;
-      n->value = Kernel(n->kind).forward(*n);
-      prof.forward_seconds += timer.ElapsedSeconds();
-      const pool::PoolStats after = pool::Stats();
-      prof.forward_calls += 1;
-      prof.buffer_requests += after.requests - before.requests;
-      prof.heap_allocs += after.misses - before.misses;
-    } else {
+    if (execute == nullptr || (*execute)[i]) {
+      Node* n = forward_[i];
       n->value = Kernel(n->kind).forward(*n);
     }
     for (Node* r : release_after_forward_[i]) {
@@ -380,19 +355,7 @@ void ExecutionPlan::RunBackward() {
   for (size_t j = 0; j < count; ++j) {
     Node* n = backward_[j];
     n->EnsureGrad();
-    if (profiling_) {
-      OpProfile& prof = profile_[profile_slot_[static_cast<int>(n->kind)]];
-      const pool::PoolStats before = pool::Stats();
-      Stopwatch timer;
-      Kernel(n->kind).backward(*n);
-      prof.backward_seconds += timer.ElapsedSeconds();
-      const pool::PoolStats after = pool::Stats();
-      prof.backward_calls += 1;
-      prof.buffer_requests += after.requests - before.requests;
-      prof.heap_allocs += after.misses - before.misses;
-    } else {
-      Kernel(n->kind).backward(*n);
-    }
+    Kernel(n->kind).backward(*n);
     for (Node* r : release_after_backward_[j]) {
       r->value = Tensor();
       r->grad = Tensor();
@@ -444,17 +407,7 @@ const Tensor& ExecutionPlan::ReplayForwardMasked(
              "execute mask covers ", execute.size(), " steps, plan has ",
              forward_.size());
   BindFeeds(feeds);
-  const size_t count = forward_.size();
-  for (size_t i = 0; i < count; ++i) {
-    if (execute[i]) {
-      Node* n = forward_[i];
-      n->value = Kernel(n->kind).forward(*n);
-    }
-    for (Node* r : release_after_forward_[i]) {
-      r->value = Tensor();
-      r->grad = Tensor();
-    }
-  }
+  RunForwardSerial(&execute);
   return root_->value;
 }
 
@@ -477,14 +430,6 @@ std::string ExecutionPlan::RegionSignature() const {
       out += OpKindName(forward_[region.steps[i]]->kind);
     }
     out += ");";
-  }
-  return out;
-}
-
-std::vector<OpProfile> ExecutionPlan::Profile() const {
-  std::vector<OpProfile> out;
-  for (const OpProfile& p : profile_) {
-    if (p.forward_calls > 0 || p.backward_calls > 0) out.push_back(p);
   }
   return out;
 }

@@ -46,14 +46,13 @@
 // half-fused session. Region replay has no switch: a forward replay runs
 // the staged region schedule whenever the calling thread could dispatch to
 // the worker pool (more than one pool thread, not inside a parallel
-// region, not profiling), and the serial per-step loop otherwise — which
-// frees each buffer right after its last use. Fleet shard workers
-// (ScopedSerialRegion) and 1-thread pools therefore replay serially.
+// region), and the serial per-step loop otherwise — which frees each
+// buffer right after its last use. Fleet shard workers (ScopedSerialRegion)
+// and 1-thread pools therefore replay serially.
 
 #ifndef STWA_IR_PLAN_H_
 #define STWA_IR_PLAN_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -104,20 +103,6 @@ struct PlanStats {
   int64_t max_stage_width = 0;
 };
 
-/// Per-OpKind timing / allocation accumulators (EnableProfiling).
-struct OpProfile {
-  OpKind kind = OpKind::kLeaf;
-  const char* name = nullptr;
-  int64_t forward_calls = 0;
-  int64_t backward_calls = 0;
-  double forward_seconds = 0.0;
-  double backward_seconds = 0.0;
-  /// Tensor-buffer acquisitions attributed to this kind (pool or heap).
-  uint64_t buffer_requests = 0;
-  /// Acquisitions that had to heap-allocate (pool misses).
-  uint64_t heap_allocs = 0;
-};
-
 /// One consumer-visible snapshot of the plan switches. Taken once per
 /// capture scope / session so every decision downstream of it agrees.
 struct PlanModes {
@@ -150,16 +135,6 @@ class ExecutionPlan {
   /// stage, dependencies and step kinds in region order. Two captures of
   /// the same graph shape produce the same signature (determinism tests).
   std::string RegionSignature() const;
-
-  /// Toggles per-op timing/allocation accounting on replays (off by
-  /// default — the hooks cost two clock reads and two pool snapshots per
-  /// op). Profiled replays run the serial schedule: the accumulators are
-  /// unsynchronised, and serial timings are the ones worth reading.
-  void EnableProfiling(bool on) { profiling_ = on; }
-
-  /// Accumulated per-kind profile. Only kinds that appear in this plan's
-  /// schedules have rows, and rows with zero recorded calls are omitted.
-  std::vector<OpProfile> Profile() const;
 
   /// Read-only view of the rewritten forward schedule (tests and the
   /// benchmark harness inspect fused-node composition through this).
@@ -197,7 +172,11 @@ class ExecutionPlan {
   ExecutionPlan() = default;
 
   void BindFeeds(const std::vector<Tensor>& feeds);
+  /// Region schedule when RegionParModeEnabled(), serial loop otherwise.
   void RunForward();
+  /// Per-step forward in schedule order, each release right after its
+  /// step; with `execute`, runs only the steps it marks nonzero.
+  void RunForwardSerial(const std::vector<uint8_t>* execute);
   /// Stage-by-stage forward: sampling regions serially, then the stage's
   /// remaining regions on the worker pool, then the stage's releases.
   void RunForwardRegions();
@@ -233,11 +212,6 @@ class ExecutionPlan {
   std::vector<std::vector<ag::Node*>> release_after_stage_;
 
   PlanStats stats_;
-  bool profiling_ = false;
-  /// Compact profile: one row per kind present in the schedules;
-  /// profile_slot_[kind] maps to the row (-1 when absent).
-  std::vector<OpProfile> profile_;
-  std::array<int16_t, kNumOpKinds> profile_slot_{};
 };
 
 /// RAII recording scope. Construct, trace one step eagerly (build the loss
@@ -290,10 +264,9 @@ void SetFuseMode(bool enabled);
 /// Read-only report of the region-replay rule for the calling thread: true
 /// when the worker pool has more than one thread and the caller is not
 /// inside a parallel region (runtime::detail::ShouldParallelize). A
-/// non-profiled forward replay then runs the staged region schedule;
-/// otherwise it runs serially. Serial and region replays are
-/// bit-identical. Change the outcome with runtime::SetNumThreads or
-/// runtime::ScopedSerialRegion.
+/// forward replay then runs the staged region schedule; otherwise it runs
+/// serially. Serial and region replays are bit-identical. Change the
+/// outcome with runtime::SetNumThreads or runtime::ScopedSerialRegion.
 bool RegionParModeEnabled();
 
 /// Reads both switches at once. Trainer and serving snapshot this at

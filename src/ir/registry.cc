@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cmath>
-#include <memory>
 
 #include "autograd/ops.h"
 #include "common/check.h"
@@ -363,137 +362,6 @@ Tensor FwdFusedAttention(const Node& n) {
   return ops::FusedAttention(P(n, 0), P(n, 1), P(n, 2), n.attrs.scalar);
 }
 
-/// Recomputes one stage of a fused chain with the standalone eager kernels
-/// (shared by the fused backward, which needs the interior values the fused
-/// forward never materialises).
-Tensor FusedStageForward(const Node& n, size_t s, const Tensor& x) {
-  const auto op = static_cast<simd::FusedOp>(n.attrs.ints[3 * s]);
-  const int64_t slot = n.attrs.ints[3 * s + 1];
-  const bool swapped = n.attrs.ints[3 * s + 2] != 0;
-  const float scalar = n.attrs.scalars[s];
-  switch (op) {
-    case simd::FusedOp::kAddScalar: return ops::AddScalar(x, scalar);
-    case simd::FusedOp::kMulScalar: return ops::MulScalar(x, scalar);
-    case simd::FusedOp::kExp: return ops::Exp(x);
-    case simd::FusedOp::kSqrt: return ops::Sqrt(x);
-    case simd::FusedOp::kSquare: return ops::Square(x);
-    case simd::FusedOp::kAbs: return ops::Abs(x);
-    case simd::FusedOp::kTanh: return ops::Tanh(x);
-    case simd::FusedOp::kSigmoid: return ops::Sigmoid(x);
-    case simd::FusedOp::kRelu: return ops::Relu(x);
-    default: {
-      const Tensor& side = n.parents[1 + slot]->value;
-      switch (op) {
-        case simd::FusedOp::kAdd: return ops::Add(x, side);
-        case simd::FusedOp::kSub:
-          return swapped ? ops::Sub(side, x) : ops::Sub(x, side);
-        case simd::FusedOp::kMul: return ops::Mul(x, side);
-        case simd::FusedOp::kDiv:
-          return swapped ? ops::Div(side, x) : ops::Div(x, side);
-        default: break;
-      }
-    }
-  }
-  STWA_CHECK(false, "bad fused stage opcode");
-  return Tensor();
-}
-
-/// Chain rule through the stage program, back to front. The gradient never
-/// runs in production plans (the rewriter only fuses gradient-free nodes);
-/// it exists so CheckAllOpKinds can finite-difference the fused kind like
-/// any other.
-void BwdFusedMap(Node& n) {
-  const size_t stages = n.attrs.ints.size() / 3;
-  // Interior stage inputs, recomputed eagerly (inputs[s] feeds stage s;
-  // stage s's output is inputs[s + 1], the last stage's is n.value).
-  std::vector<Tensor> inputs(stages);
-  inputs[0] = P(n, 0);
-  for (size_t s = 0; s + 1 < stages; ++s) {
-    inputs[s + 1] = FusedStageForward(n, s, inputs[s]);
-  }
-  Tensor g = n.grad;
-  for (size_t si = stages; si-- > 0;) {
-    const auto op = static_cast<simd::FusedOp>(n.attrs.ints[3 * si]);
-    const int64_t slot = n.attrs.ints[3 * si + 1];
-    const bool swapped = n.attrs.ints[3 * si + 2] != 0;
-    const Tensor& in = inputs[si];
-    const Tensor& out = (si + 1 < stages) ? inputs[si + 1] : n.value;
-    const NodePtr& side =
-        simd::FusedOpIsBinary(op) ? n.parents[1 + slot] : nullptr;
-    switch (op) {
-      case simd::FusedOp::kAddScalar:
-        break;  // g flows through unchanged
-      case simd::FusedOp::kMulScalar:
-        g = ops::MulScalar(g, n.attrs.scalars[si]);
-        break;
-      case simd::FusedOp::kExp:
-        g = ops::Mul(g, out);
-        break;
-      case simd::FusedOp::kSqrt:
-        g = ops::BinaryMap(g, out, BwdSqrtFn{});
-        break;
-      case simd::FusedOp::kSquare:
-        g = ops::BinaryMap(g, in, BwdSquareFn{});
-        break;
-      case simd::FusedOp::kAbs:
-        g = ops::BinaryMap(g, in, BwdAbsFn{});
-        break;
-      case simd::FusedOp::kTanh:
-        g = ops::BinaryMap(g, out, BwdTanhFn{});
-        break;
-      case simd::FusedOp::kSigmoid:
-        g = ops::BinaryMap(g, out, BwdSigmoidFn{});
-        break;
-      case simd::FusedOp::kRelu:
-        g = ops::BinaryMap(g, in, BwdReluFn{});
-        break;
-      case simd::FusedOp::kAdd:
-        Accum(side, g);
-        break;
-      case simd::FusedOp::kSub:
-        if (swapped) {  // out = side - chain
-          Accum(side, g);
-          g = ops::Neg(g);
-        } else {  // out = chain - side
-          Accum(side, ops::Neg(g));
-        }
-        break;
-      case simd::FusedOp::kMul:
-        Accum(side, ops::Mul(g, in));
-        g = ops::Mul(g, side->value);
-        break;
-      case simd::FusedOp::kDiv:
-        if (swapped) {  // out = side / chain
-          Accum(side, ops::Div(g, in));
-          g = ops::Neg(
-              ops::Div(ops::Mul(g, side->value), ops::Mul(in, in)));
-        } else {  // out = chain / side
-          const Tensor& sv = side->value;
-          Accum(side, ops::Neg(ops::Div(ops::Mul(g, in), ops::Mul(sv, sv))));
-          g = ops::Div(g, sv);
-        }
-        break;
-      case simd::FusedOp::kCount:
-        break;
-    }
-  }
-  Accum(n.parents[0], std::move(g));
-}
-
-void BwdFusedAttention(Node& n) {
-  const Tensor& q = P(n, 0);
-  const Tensor& kt = P(n, 1);
-  const Tensor& v = P(n, 2);
-  const float scale = n.attrs.scalar;
-  // Recompute the softmax the fused forward kept only slice-local.
-  Tensor sm = ops::SoftmaxLast(ops::MulScalar(ops::MatMul(q, kt), scale));
-  Tensor dsm = ops::MatMulNT(n.grad, v);
-  Tensor dscores = ops::MulScalar(ops::SoftmaxLastBackward(sm, dsm), scale);
-  Accum(n.parents[0], ops::MatMulNT(dscores, kt));
-  Accum(n.parents[1], ops::MatMulTN(q, dscores));
-  Accum(n.parents[2], ops::MatMulTN(sm, n.grad));
-}
-
 // --- Gradcheck case builders ---------------------------------------------
 // Each builder creates a deterministic scalar loss exercising exactly its
 // kind (plus the reduction wrapping it into a scalar, which has its own
@@ -649,44 +517,6 @@ GradCheckCase GcHuberElem() {
   return {{p}, [p, target] { return ag::HuberLoss(p, target, 1.0f); }};
 }
 
-// The fused kinds are only ever built by the plan rewriter, so their cases
-// assemble the node by hand: tanh → mul(side) → add_scalar exercises a
-// unary, a binary (with its side-input accumulation) and a scalar stage in
-// one chain; the attention case runs a full quad.
-
-GradCheckCase GcFusedMap() {
-  Var a = ag::Parameter(SignedAway(2, 4, 46));
-  Var b = ag::Parameter(SignedAway(2, 4, 47));
-  return {{a, b}, [a, b] {
-            auto node = std::make_shared<Node>();
-            node->kind = OpKind::kFusedMap;
-            node->requires_grad = true;
-            node->parents = {a.node(), b.node()};
-            node->attrs.ints = {
-                static_cast<int64_t>(simd::FusedOp::kTanh), -1, 0,
-                static_cast<int64_t>(simd::FusedOp::kMul), 0, 0,
-                static_cast<int64_t>(simd::FusedOp::kAddScalar), -1, 0};
-            node->attrs.scalars = {0.0f, 0.0f, 0.3f};
-            node->value = Kernel(OpKind::kFusedMap).forward(*node);
-            return ag::MeanAll(Var(node));
-          }};
-}
-
-GradCheckCase GcFusedAttention() {
-  Var q = ag::Parameter(SignedAway(2, 3, 48));
-  Var kt = ag::Parameter(SignedAway(3, 4, 49));
-  Var v = ag::Parameter(SignedAway(4, 2, 50));
-  return {{q, kt, v}, [q, kt, v] {
-            auto node = std::make_shared<Node>();
-            node->kind = OpKind::kFusedAttention;
-            node->requires_grad = true;
-            node->parents = {q.node(), kt.node(), v.node()};
-            node->attrs.scalar = 0.5f;
-            node->value = Kernel(OpKind::kFusedAttention).forward(*node);
-            return ag::MeanAll(Var(node));
-          }};
-}
-
 // --- Table ----------------------------------------------------------------
 
 std::array<OpKernelInfo, kNumOpKinds> BuildTable() {
@@ -737,11 +567,11 @@ std::array<OpKernelInfo, kNumOpKinds> BuildTable() {
   set(OpKind::kRandn, {"randn", FwdRandn, nullptr, false, nullptr});
   set(OpKind::kDropoutMask,
       {"dropout_mask", FwdDropoutMask, nullptr, false, nullptr});
-  set(OpKind::kFusedMap,
-      {"fused_map", FwdFusedMap, BwdFusedMap, true, GcFusedMap});
+  // The rewriter fuses only gradient-free nodes (ir/rewrite.h), so the
+  // fused kinds never reach a backward schedule: forward-only.
+  set(OpKind::kFusedMap, {"fused_map", FwdFusedMap, nullptr, false, nullptr});
   set(OpKind::kFusedAttention,
-      {"fused_attention", FwdFusedAttention, BwdFusedAttention, true,
-       GcFusedAttention});
+      {"fused_attention", FwdFusedAttention, nullptr, false, nullptr});
   return table;
 }
 

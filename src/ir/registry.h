@@ -6,7 +6,9 @@
 //     path, so traced and replayed execution are bit-identical by
 //     construction);
 //   * a backward kernel accumulating the node's gradient into its parents
-//     (null for non-differentiable kinds: leaves, detach, sampling ops);
+//     (null for non-differentiable kinds: leaves, detach, sampling ops,
+//     and the forward-only fused kinds, which the rewriter builds only
+//     from gradient-free nodes);
 //   * liveness metadata: whether the backward kernel reads parent *data*
 //     (not just shapes), which the execution plan's liveness analysis uses
 //     to decide how long forward-only values must stay materialised;

@@ -19,7 +19,12 @@
 // capture (the next member of its own pattern), and (c) not be the plan
 // root or a feed. Rule (a) makes fusion a forward-only optimisation: train
 // plans fuse just their gradient-free subgraphs, eval/serve plans (traced
-// under NoGradMode) fuse everywhere. Because the fused kernels compute the
+// under NoGradMode) fuse everywhere. A fused node is emitted with
+// requires_grad false and never enters a backward schedule, so the fused
+// kinds are registered forward-only (no backward kernel, no gradcheck
+// case). ST-WA trains through its generated per-sensor projections, so its
+// train plans fuse nothing (IrRewriteTest pins the rule on a graph that
+// does fuse). Because the fused kernels compute the
 // same per-element bits as the node sequences they replace
 // (tensor/fused_ops.h), rewriting never changes a replay's output.
 //

@@ -12,9 +12,6 @@ namespace nn {
 /// Glorot/Xavier uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
 Tensor XavierUniform(Shape shape, int64_t fan_in, int64_t fan_out, Rng& rng);
 
-/// Kaiming/He uniform for ReLU layers: U(-a, a), a = sqrt(6 / fan_in).
-Tensor HeUniform(Shape shape, int64_t fan_in, Rng& rng);
-
 /// PyTorch-Linear-style default: U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
 Tensor LecunUniform(Shape shape, int64_t fan_in, Rng& rng);
 

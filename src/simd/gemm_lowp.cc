@@ -597,15 +597,5 @@ void GemmLowp(const float* a, const PackedWeights& w, float* c, int64_t m,
 #endif
 }
 
-const char* LowpKernelName() {
-#if defined(STWA_LOWP_AVX512)
-  return "avx512-vnni";
-#elif defined(STWA_SIMD_AVX2)
-  return "avx2";
-#else
-  return "scalar";
-#endif
-}
-
 }  // namespace simd
 }  // namespace stwa

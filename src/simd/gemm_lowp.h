@@ -108,10 +108,6 @@ void GemmBf16Ref(const float* a, const PackedWeights& w, float* c,
 void GemmInt8Ref(const float* a, const PackedWeights& w, float* c,
                  int64_t m, bool trans_a);
 
-/// Name of the int8/bf16 kernel variant this build dispatches to
-/// ("avx512-vnni", "avx512f", "avx2", "scalar") — bench/banner metadata.
-const char* LowpKernelName();
-
 }  // namespace simd
 }  // namespace stwa
 

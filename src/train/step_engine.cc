@@ -60,18 +60,8 @@ float StepEngine::Step(const data::Batch& batch) {
                                  /*with_backward=*/true);
       if (plan != nullptr) {
         ++plan_.plans_captured;
-        const ir::PlanStats& s = plan->stats();
-        if (s.captured_nodes > plan_.captured_nodes) {
-          plan_.captured_nodes = s.captured_nodes;
-          plan_.forward_ops = s.forward_ops;
-          plan_.backward_ops = s.backward_ops;
-          plan_.pruned_ops = s.pruned_ops;
-          plan_.peak_live_bytes = s.peak_live_bytes;
-          plan_.fused_map_nodes = s.fused_map_nodes;
-          plan_.fused_attention_nodes = s.fused_attention_nodes;
-          plan_.fused_away_ops = s.fused_away_ops;
-          plan_.regions = s.regions;
-          plan_.region_stages = s.region_stages;
+        if (plan->stats().captured_nodes > plan_.captured_nodes) {
+          static_cast<ir::PlanStats&>(plan_) = plan->stats();
         }
       }
       train_plans_.emplace(key, std::move(plan));

@@ -46,28 +46,15 @@ class ForecastModel : public nn::Module {
   virtual std::string name() const = 0;
 };
 
-/// How a run used captured execution plans.
-struct PlanSummary {
+/// How a run used captured execution plans. The inherited ir::PlanStats
+/// are those of the largest captured plan (the full-batch step).
+struct PlanSummary : ir::PlanStats {
   /// Plans captured (one per distinct train batch shape; 0 when eager).
   int64_t plans_captured = 0;
   /// Steps run by eager tracing (plan-off runs, capture steps, fallbacks).
   int64_t traced_steps = 0;
   /// Steps run by plan replay.
   int64_t replayed_steps = 0;
-  /// Stats of the largest captured plan (the full-batch step).
-  int64_t captured_nodes = 0;
-  int64_t forward_ops = 0;
-  int64_t backward_ops = 0;
-  int64_t pruned_ops = 0;
-  int64_t peak_live_bytes = 0;
-  /// Fusion rewrites of that plan (ir/rewrite.h): fused super-ops emitted
-  /// and forward steps they absorbed.
-  int64_t fused_map_nodes = 0;
-  int64_t fused_attention_nodes = 0;
-  int64_t fused_away_ops = 0;
-  /// Region schedule of that plan (ir/regions.h).
-  int64_t regions = 0;
-  int64_t region_stages = 0;
 };
 
 /// Per-step hyper-parameters of the engine (the loop-level knobs — epochs,

@@ -269,7 +269,7 @@ TEST(StfgnnTest, TemporalGraphConnectsSimilarProfiles) {
   }
 }
 
-TEST(AgcrnTest, NodeEmbeddingsDriveDistinctBehaviour) {
+TEST(AgcrnTest, PerSensorWeightsDriveDistinctBehaviour) {
   BaselineConfig c;
   c.num_sensors = 4;
   c.history = 6;

@@ -811,7 +811,7 @@ TEST(MemoryModelTest, Table6OomPatternAtPaperScale) {
   EXPECT_TRUE(WouldOom(EnhanceNetGb(workload(883))));
   EXPECT_TRUE(WouldOom(FusionGraphGb(workload(883))));
   for (int64_t n : {358, 307, 170, 883}) {
-    EXPECT_FALSE(WouldOom(AdaptiveGraphRnnGb(workload(n)))) << "N=" << n;
+    EXPECT_FALSE(WouldOom(AdaptiveGraphGb(workload(n)))) << "N=" << n;
     EXPECT_FALSE(WouldOom(WindowAttentionGb(workload(n), {6, 6}, 2)))
         << "N=" << n;
   }

@@ -194,6 +194,30 @@ TEST(FleetConfigTest, RejectsTyposInsteadOfServingDefaults) {
                Error);
   EXPECT_THROW(ParseFleetConfig("quota gold burst=5\n"), Error);  // no rate
   EXPECT_THROW(ParseFleetConfig("quota gold rate=1 color=red\n"), Error);
+  // NaN, infinite or negative rates and bursts would admit every request.
+  for (const char* bad :
+       {"quota t rate=nan\n", "quota t rate=10 burst=nan\n",
+        "quota t rate=-5\n", "quota t rate=inf\n",
+        "quota t rate=1 burst=-2\n", "default_quota rate=NaN\n",
+        "default_quota rate=1 burst=inf\n"}) {
+    EXPECT_THROW(ParseFleetConfig(bad), Error) << bad;
+  }
+  // Values that do not fit their field are refused, not wrapped.
+  for (const char* bad :
+       {"profile cityA ckpt=/a workers=4294967297\n",
+        "profile cityA ckpt=/a workers=-4294967295\n",
+        "profile cityA ckpt=/a tiles=99999999999999999999\n"}) {
+    EXPECT_THROW(ParseFleetConfig(bad), Error) << bad;
+  }
+  // The error names the offending line.
+  try {
+    ParseFleetConfig("quota t rate=nan\n");
+    ADD_FAILURE() << "rate=nan parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("quota t rate=nan"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FleetConfigTest, QuotaBurstClampedToAdmitAtLeastOne) {
@@ -704,6 +728,51 @@ TEST(FleetLineSessionTest, ThrottledForecastHasDistinctFirstToken) {
   EXPECT_EQ(stats.throttled, 1);
   // Throttled requests are not protocol errors.
   EXPECT_EQ(stats.protocol_errors, 0);
+  std::remove(f.path.c_str());
+}
+
+TEST(FleetLineSessionTest, TenantNamesAreBoundedNodeWide) {
+  Fixture f = MakeFixture("stwa_fleet_tenants.bin");
+  FleetConfig config;
+  FleetProfileConfig profile = SmallProfile("cityX", f.path);
+  profile.tiles = 1;
+  profile.shards = 1;
+  config.profiles.push_back(profile);
+  config.quotas.emplace_back("gold", TenantQuota{/*rate=*/5.0, /*burst=*/5.0});
+  FleetNode node(config);
+  FleetLineSession a(node);
+  FleetLineSession b(node);
+  bool quit = false;
+
+  // Twice the bound in distinct names, spread over two connections: the
+  // first kMaxProtocolTenants are accepted, every later new name is a
+  // counted error that leaves the session's tenant unchanged.
+  const int64_t names = 2 * kMaxProtocolTenants;
+  int64_t refused = 0;
+  for (int64_t i = 0; i < names; ++i) {
+    FleetLineSession& s = (i % 2 == 0) ? a : b;
+    const std::string name = "t" + std::to_string(i);
+    const auto resp = s.Handle("tenant " + name, &quit);
+    ASSERT_TRUE(resp.has_value());
+    if (i < kMaxProtocolTenants) {
+      EXPECT_EQ(*resp, "ok tenant=" + name);
+    } else {
+      EXPECT_EQ(resp->rfind("err ", 0), 0u) << *resp;
+      EXPECT_NE(s.tenant(), name);
+      ++refused;
+    }
+  }
+  EXPECT_EQ(refused, names - kMaxProtocolTenants);
+  EXPECT_EQ(a.protocol_errors() + b.protocol_errors(), refused);
+  EXPECT_EQ(node.Stats().protocol_errors, refused);
+
+  // Configured tenants, "default" and already accepted names still pass.
+  for (const std::string name : {"gold", "default", "t0", "t1"}) {
+    const auto resp = a.Handle("tenant " + name, &quit);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(*resp, "ok tenant=" + name);
+  }
+  EXPECT_EQ(node.Stats().protocol_errors, refused);
   std::remove(f.path.c_str());
 }
 

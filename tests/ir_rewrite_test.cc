@@ -323,6 +323,62 @@ TEST(RewriteStwaTest, RegionParallelReplayIsBitIdenticalAcrossThreads) {
   runtime::SetNumThreads(0);
 }
 
+// --- Train plans: rule (a) ------------------------------------------------
+
+/// Captures one train step in which a gradient-free elementwise chain on
+/// the feed x feeds the parameter path 0.5 · tanh(chain(x) · w), whose own
+/// elementwise chain carries gradients.
+std::unique_ptr<ir::ExecutionPlan> CaptureChainTrainStep(bool fuse,
+                                                         const ag::Var& w) {
+  Rng rng(13);
+  Tensor x0 = Tensor::Randn({4, 3}, rng);
+  Tensor y0 = Tensor::Randn({4, 2}, rng);
+  ir::GraphCapture capture(ir::PlanModes{/*plan=*/true, fuse});
+  ag::Var h = ag::Exp(ag::MulScalar(ag::Var(x0), 0.5f));
+  h = ag::AddScalar(ag::Tanh(h), 1.0f);
+  ag::Var pred = ag::MulScalar(ag::Tanh(ag::MatMul(h, w)), 0.5f);
+  ag::Var loss = ag::HuberLoss(pred, ag::Var(y0), 1.0f);
+  loss.Backward();
+  return capture.Finish(loss, {x0, y0}, /*with_backward=*/true);
+}
+
+TEST(RewriteTrainingTest, TrainPlanFusesOnlyGradientFreeNodes) {
+  ResetModes();
+  Rng rng(14);
+  const Tensor w0 = Tensor::Randn({3, 2}, rng);
+  ag::Var w_fused = ag::Parameter(w0.Clone());
+  ag::Var w_plain = ag::Parameter(w0.Clone());
+  auto fused = CaptureChainTrainStep(/*fuse=*/true, w_fused);
+  auto plain = CaptureChainTrainStep(/*fuse=*/false, w_plain);
+  ASSERT_NE(fused, nullptr);
+  ASSERT_NE(plain, nullptr);
+  // The feed chain (mul_scalar → exp → tanh → add_scalar) fuses; the
+  // parameter path's tanh → mul_scalar does not.
+  ASSERT_EQ(fused->stats().fused_map_nodes, 1);
+  ASSERT_EQ(plain->stats().fused_map_nodes, 0);
+  int64_t fused_nodes = 0;
+  for (const ag::Node* n : fused->forward_steps()) {
+    if (n->kind == ir::OpKind::kFusedMap ||
+        n->kind == ir::OpKind::kFusedAttention) {
+      ++fused_nodes;
+      ASSERT_FALSE(n->requires_grad) << ir::OpKindName(n->kind);
+    }
+  }
+  EXPECT_EQ(fused_nodes, 1);
+  EXPECT_EQ(fused->stats().backward_ops, plain->stats().backward_ops);
+  // Fusion changes no replayed loss or parameter-gradient bit.
+  for (int step = 0; step < 3; ++step) {
+    Tensor x = Tensor::Randn({4, 3}, rng);
+    Tensor y = Tensor::Randn({4, 2}, rng);
+    w_fused.ZeroGrad();
+    w_plain.ZeroGrad();
+    EXPECT_EQ(fused->ReplayTrainStep({x, y}), plain->ReplayTrainStep({x, y}))
+        << "step " << step;
+    EXPECT_TRUE(BitIdentical(w_fused.grad(), w_plain.grad()))
+        << "step " << step;
+  }
+}
+
 // --- End-to-end bit-identity: Fit and serving -----------------------------
 
 struct FitOutcome {

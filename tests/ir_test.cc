@@ -61,9 +61,23 @@ TEST(IrRegistryTest, GradcheckCoversEveryDifferentiableKind) {
   std::vector<std::string> failures;
   const int checked = ag::CheckAllOpKinds(&failures);
   for (const std::string& f : failures) ADD_FAILURE() << f;
-  // Every kind except kLeaf, kDetach and the sampling sources carries a
-  // backward kernel and must have been finite-difference checked.
-  EXPECT_EQ(checked, ir::kNumOpKinds - 4);
+  // Every kind except kLeaf, kDetach, the sampling sources and the
+  // forward-only fused kinds carries a backward kernel and must have been
+  // finite-difference checked.
+  EXPECT_EQ(checked, ir::kNumOpKinds - 6);
+}
+
+TEST(IrRegistryTest, FusedKindsAreForwardOnly) {
+  // The rewriter fuses only gradient-free nodes (ir/rewrite.h rule (a)),
+  // so no backward schedule ever reaches a fused node.
+  for (const ir::OpKind kind :
+       {ir::OpKind::kFusedMap, ir::OpKind::kFusedAttention}) {
+    const ir::OpKernelInfo& info = ir::Kernel(kind);
+    EXPECT_NE(info.forward, nullptr) << info.name;
+    EXPECT_EQ(info.backward, nullptr) << info.name;
+    EXPECT_FALSE(info.backward_reads_parents) << info.name;
+    EXPECT_EQ(info.make_gradcheck, nullptr) << info.name;
+  }
 }
 
 // --- Node mechanics -------------------------------------------------------
