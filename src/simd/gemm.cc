@@ -172,51 +172,61 @@ void GemmPacked(const float* a, const float* b, float* c, int64_t m,
   }
 }
 
+// kV-vector register block of one C row: cr[0, kV*kW) = sum over kk of
+// ar[kk * a_step] * b[kk * n, +kV*kW), held in registers across the whole
+// k loop. Each C element is one k-ascending FMA chain.
+template <int kV>
+inline void RowBlock(const float* ar, int64_t a_step, const float* b,
+                     float* cr, int64_t k, int64_t n) {
+  Vec acc[kV];
+  for (int v = 0; v < kV; ++v) acc[v] = Vec::Zero();
+  for (int64_t kk = 0; kk < k; ++kk, b += n) {
+    const Vec av = Vec::Broadcast(ar[kk * a_step]);
+    for (int v = 0; v < kV; ++v) {
+      acc[v] = Vec::Fma(av, Vec::Load(b + v * kW), acc[v]);
+    }
+  }
+  for (int v = 0; v < kV; ++v) acc[v].Store(cr + v * kW);
+}
+
+// One C row of the NN and TN row kernels, A's k-th element read at
+// ar[k * a_step]: 4-vector blocks, then at most one 2-vector and one
+// 1-vector block, then a masked tail. The 2-vector block keeps two
+// independent chains in flight where n = 2 * kW would otherwise run as two
+// latency-bound single-vector passes. Which block computes an element
+// never changes its chain, so the blocking keeps the bytes.
+inline void RowTimesB(const float* ar, int64_t a_step, const float* b,
+                      float* cr, int64_t k, int64_t n) {
+  int64_t j = 0;
+  for (; j + 4 * kW <= n; j += 4 * kW) {
+    RowBlock<4>(ar, a_step, b + j, cr + j, k, n);
+  }
+  if (j + 2 * kW <= n) {
+    RowBlock<2>(ar, a_step, b + j, cr + j, k, n);
+    j += 2 * kW;
+  }
+  if (j + kW <= n) {
+    RowBlock<1>(ar, a_step, b + j, cr + j, k, n);
+    j += kW;
+  }
+  if (j < n) {
+    const int64_t rem = n - j;
+    Vec acc = Vec::Zero();
+    const float* bp = b + j;
+    for (int64_t kk = 0; kk < k; ++kk, bp += n) {
+      acc = Vec::Fma(Vec::Broadcast(ar[kk * a_step]), LoadPartial(bp, rem),
+                     acc);
+    }
+    StorePartial(acc, cr + j, rem);
+  }
+}
+
 }  // namespace
 
 void GemmRowsNN(const float* a, const float* b, float* c, int64_t i0,
                 int64_t i1, int64_t k, int64_t n) {
   for (int64_t i = i0; i < i1; ++i) {
-    const float* ar = a + i * k;
-    float* cr = c + i * n;
-    int64_t j = 0;
-    // 4-vector register block held across the whole k loop; each C
-    // element is one k-ascending FMA chain.
-    for (; j + 4 * kW <= n; j += 4 * kW) {
-      Vec a0 = Vec::Zero();
-      Vec a1 = Vec::Zero();
-      Vec a2 = Vec::Zero();
-      Vec a3 = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        const Vec av = Vec::Broadcast(ar[kk]);
-        a0 = Vec::Fma(av, Vec::Load(bp), a0);
-        a1 = Vec::Fma(av, Vec::Load(bp + kW), a1);
-        a2 = Vec::Fma(av, Vec::Load(bp + 2 * kW), a2);
-        a3 = Vec::Fma(av, Vec::Load(bp + 3 * kW), a3);
-      }
-      a0.Store(cr + j);
-      a1.Store(cr + j + kW);
-      a2.Store(cr + j + 2 * kW);
-      a3.Store(cr + j + 3 * kW);
-    }
-    for (; j + kW <= n; j += kW) {
-      Vec acc = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        acc = Vec::Fma(Vec::Broadcast(ar[kk]), Vec::Load(bp), acc);
-      }
-      acc.Store(cr + j);
-    }
-    if (j < n) {
-      const int64_t rem = n - j;
-      Vec acc = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        acc = Vec::Fma(Vec::Broadcast(ar[kk]), LoadPartial(bp, rem), acc);
-      }
-      StorePartial(acc, cr + j, rem);
-    }
+    RowTimesB(a + i * k, 1, b, c + i * n, k, n);
   }
 }
 
@@ -259,46 +269,7 @@ void GemmRowsNT(const float* a, const float* b, float* c, int64_t i0,
 
 void GemmRowsTN(const float* a, const float* b, float* c, int64_t i0,
                 int64_t i1, int64_t k, int64_t m, int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    float* cr = c + i * n;
-    int64_t j = 0;
-    for (; j + 4 * kW <= n; j += 4 * kW) {
-      Vec a0 = Vec::Zero();
-      Vec a1 = Vec::Zero();
-      Vec a2 = Vec::Zero();
-      Vec a3 = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        const Vec av = Vec::Broadcast(a[kk * m + i]);
-        a0 = Vec::Fma(av, Vec::Load(bp), a0);
-        a1 = Vec::Fma(av, Vec::Load(bp + kW), a1);
-        a2 = Vec::Fma(av, Vec::Load(bp + 2 * kW), a2);
-        a3 = Vec::Fma(av, Vec::Load(bp + 3 * kW), a3);
-      }
-      a0.Store(cr + j);
-      a1.Store(cr + j + kW);
-      a2.Store(cr + j + 2 * kW);
-      a3.Store(cr + j + 3 * kW);
-    }
-    for (; j + kW <= n; j += kW) {
-      Vec acc = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        acc = Vec::Fma(Vec::Broadcast(a[kk * m + i]), Vec::Load(bp), acc);
-      }
-      acc.Store(cr + j);
-    }
-    if (j < n) {
-      const int64_t rem = n - j;
-      Vec acc = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        acc = Vec::Fma(Vec::Broadcast(a[kk * m + i]), LoadPartial(bp, rem),
-                       acc);
-      }
-      StorePartial(acc, cr + j, rem);
-    }
-  }
+  for (int64_t i = i0; i < i1; ++i) RowTimesB(a + i, m, b, c + i * n, k, n);
 }
 
 bool GemmUsesPackedPath(int64_t m, int64_t n, int64_t k) {

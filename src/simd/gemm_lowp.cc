@@ -7,16 +7,23 @@
 #include "runtime/parallel.h"
 #include "tensor/buffer_pool.h"
 
-// Kernel tier selection. Inside an AVX2 build, AVX-512 (F+BW for the
-// widening loads, VNNI for dpbusd) upgrades both microkernels to 512-bit
-// vectors — double the fp32 FMA throughput of the 256-bit fp32 path on
-// hosts with two 512-bit FMA pipes, which is what makes the bf16 tier
-// *faster* than fp32 despite widening in-kernel. Without AVX-512 the
-// 256-bit fallbacks (widen+FMA for bf16, pmaddwd for int8) keep the same
-// arithmetic; non-AVX2 builds use the scalar reference paths.
-#if defined(STWA_SIMD_AVX2) && defined(__AVX512F__) && \
-    defined(__AVX512BW__) && defined(__AVX512VNNI__)
+// Kernel tier selection, from the compiler's target macros (not from the
+// simd::Vec tier, which may be 512-bit while these kernels run 256-bit).
+// An x86 build with AVX2+FMA gets the 256-bit kernels (widen+FMA for
+// bf16, pmaddwd for int8); AVX-512 F+BW (the widening loads) plus VNNI
+// (dpbusd) upgrades both to 512-bit vectors. Both keep the arithmetic of
+// the scalar reference paths, which every other build (STWA_NO_SIMD, SSE2,
+// NEON) runs. bf16 widens in-kernel, so it beats fp32 only where fp32
+// runs narrower vectors: against the 256-bit AVX2 fp32 kernels it did, but
+// an AVX-512 build runs fp32 512-bit too (the 16-lane simd::Vec tier) and
+// the two tie at batch 16 (ROADMAP item 4 has the measured table).
+#if !defined(STWA_NO_SIMD) && defined(__AVX2__) && defined(__FMA__)
+#define STWA_LOWP_X86 1
+#include <immintrin.h>
+#if defined(__AVX512F__) && defined(__AVX512BW__) && \
+    defined(__AVX512VNNI__)
 #define STWA_LOWP_AVX512 1
+#endif
 #endif
 
 namespace stwa {
@@ -30,7 +37,7 @@ constexpr int64_t kLowpNR = 32;
 // two widening shuffles, so amortising them over 12 rows (24 of the 32
 // zmm registers as accumulators) buys ~10% over 6 rows.
 constexpr int64_t kBf16MR = 12;
-#elif defined(STWA_SIMD_AVX2)
+#elif defined(STWA_LOWP_X86)
 constexpr int64_t kLowpNR = 16;
 constexpr int64_t kBf16MR = kLowpMR;
 #else
@@ -247,29 +254,39 @@ void Int8Tile512(const uint8_t* const* qa_rows, const int8_t* bp,
       cols >= 32 ? 0xFFFF
                  : (cols > 16 ? static_cast<__mmask16>((1u << (cols - 16)) - 1)
                               : 0);
+  // The masked forms below, under the store masks, also keep GCC 12 from
+  // warning on the unmasked intrinsics' undefined pass-through (see
+  // simd.h).
   const __m512i corr0 =
-      _mm512_slli_epi32(_mm512_maskz_loadu_epi32(m0, csum), 7);
+      _mm512_maskz_slli_epi32(m0, _mm512_maskz_loadu_epi32(m0, csum), 7);
   const __m512i corr1 =
-      _mm512_slli_epi32(_mm512_maskz_loadu_epi32(m1, csum + 16), 7);
+      _mm512_maskz_slli_epi32(m1, _mm512_maskz_loadu_epi32(m1, csum + 16), 7);
   const __m512 sb0 = _mm512_maskz_loadu_ps(m0, sb);
   const __m512 sb1 = _mm512_maskz_loadu_ps(m1, sb + 16);
   for (int64_t r = 0; r < rows; ++r) {
     float* cr = c + r * ldc;
     const __m512 sav = _mm512_set1_ps(sa[r]);
     const __m512 f0 = _mm512_mul_ps(
-        _mm512_cvtepi32_ps(_mm512_sub_epi32(acc[r][0], corr0)),
+        _mm512_maskz_cvtepi32_ps(m0, _mm512_sub_epi32(acc[r][0], corr0)),
         _mm512_mul_ps(sav, sb0));
     _mm512_mask_storeu_ps(cr, m0, f0);
     if (m1) {
       const __m512 f1 = _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(acc[r][1], corr1)),
+          _mm512_maskz_cvtepi32_ps(m1, _mm512_sub_epi32(acc[r][1], corr1)),
           _mm512_mul_ps(sav, sb1));
       _mm512_mask_storeu_ps(cr + 16, m1, f1);
     }
   }
 }
 
-#elif defined(STWA_SIMD_AVX2)
+#elif defined(STWA_LOWP_X86)
+
+// Lane mask selecting the first n floats of a 256-bit access: none for
+// n <= 0, all eight for n >= 8.
+inline __m256i FirstN256(int64_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int32_t>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
 
 // 6 x 16 bf16 tile, 256-bit: same chain shape as Bf16Tile512 (and
 // ScalarBf16) at half the width.
@@ -294,16 +311,16 @@ void Bf16Tile256(const float* ap, const uint16_t* bp, float* c, int64_t ldc,
       acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
     }
   }
+  const __m256i m0 = FirstN256(cols);
+  const __m256i m1 = FirstN256(cols - 8);
   for (int64_t r = 0; r < rows; ++r) {
     float* cr = c + r * ldc;
     if (cols >= kLowpNR) {
       _mm256_storeu_ps(cr, acc[r][0]);
       _mm256_storeu_ps(cr + 8, acc[r][1]);
-    } else if (cols > 8) {
-      _mm256_storeu_ps(cr, acc[r][0]);
-      StorePartial(Vec{acc[r][1]}, cr + 8, cols - 8);
     } else {
-      StorePartial(Vec{acc[r][0]}, cr, cols);
+      _mm256_maskstore_ps(cr, m0, acc[r][0]);
+      _mm256_maskstore_ps(cr + 8, m1, acc[r][1]);
     }
   }
 }
@@ -332,25 +349,25 @@ void Int8Tile256(const int16_t* const* qa_rows, const int16_t* bp,
       acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(av, b1));
     }
   }
-  const int64_t c0 = std::min<int64_t>(cols, 8);
-  const int64_t c1 = std::max<int64_t>(cols - 8, 0);
-  const Vec sb0 = LoadPartial(sb, c0);
-  const Vec sb1 = c1 > 0 ? LoadPartial(sb + 8, c1) : Vec::Zero();
+  const __m256i m0 = FirstN256(cols);
+  const __m256i m1 = FirstN256(cols - 8);
+  const __m256 sb0 = _mm256_maskload_ps(sb, m0);
+  const __m256 sb1 = _mm256_maskload_ps(sb + 8, m1);
   for (int64_t r = 0; r < rows; ++r) {
     float* cr = c + r * ldc;
-    const Vec sav = Vec::Broadcast(sa[r]);
-    const Vec f0 = Vec{_mm256_cvtepi32_ps(acc[r][0])} * (sav * sb0);
-    StorePartial(f0, cr, c0);
-    if (c1 > 0) {
-      const Vec f1 = Vec{_mm256_cvtepi32_ps(acc[r][1])} * (sav * sb1);
-      StorePartial(f1, cr + 8, c1);
-    }
+    const __m256 sav = _mm256_set1_ps(sa[r]);
+    _mm256_maskstore_ps(cr, m0,
+                        _mm256_mul_ps(_mm256_cvtepi32_ps(acc[r][0]),
+                                      _mm256_mul_ps(sav, sb0)));
+    _mm256_maskstore_ps(cr + 8, m1,
+                        _mm256_mul_ps(_mm256_cvtepi32_ps(acc[r][1]),
+                                      _mm256_mul_ps(sav, sb1)));
   }
 }
 
 #endif
 
-#if defined(STWA_LOWP_AVX512) || defined(STWA_SIMD_AVX2)
+#if defined(STWA_LOWP_X86)
 
 void VectorBf16(const float* a, const PackedWeights& w, float* c, int64_t m,
                 bool trans_a) {
@@ -544,7 +561,7 @@ std::shared_ptr<PackedWeights> PackWeights(const float* b, int64_t k,
     }
     w->colsum[static_cast<size_t>(j)] = sum;
   }
-#if defined(STWA_SIMD_AVX2) && !defined(STWA_LOWP_AVX512)
+#if defined(STWA_LOWP_X86) && !defined(STWA_LOWP_AVX512)
   // pmaddwd operand copy, widened to i16 in pair layout.
   const int64_t kp = (k + 1) / 2;
   w->q16.assign(static_cast<size_t>(np * kp * kLowpNR * 2), 0);
@@ -582,7 +599,7 @@ void GemmLowp(const float* a, const PackedWeights& w, float* c, int64_t m,
     std::fill(c, c + m * w.n, 0.0f);
     return;
   }
-#if defined(STWA_LOWP_AVX512) || defined(STWA_SIMD_AVX2)
+#if defined(STWA_LOWP_X86)
   if (w.tier == Precision::kBf16) {
     VectorBf16(a, w, c, m, trans_a);
   } else {

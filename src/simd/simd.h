@@ -2,25 +2,28 @@
 // compile time.
 //
 // One ISA tier is chosen per build (widest first):
-//   AVX2+FMA (8 lanes) -> SSE2 (4 lanes, fma = mul+add) -> NEON/aarch64
-//   (4 lanes) -> scalar (1 lane).
+//   AVX-512 F+DQ+BW+VL (16 lanes) -> AVX2+FMA (8 lanes) -> SSE2 (4 lanes,
+//   fma = mul+add) -> NEON/aarch64 (4 lanes) -> scalar (1 lane).
 // -DSTWA_NO_SIMD=1 (CMake option STWA_NO_SIMD) forces the 1-lane tier,
 // the only one on hosts with neither SSE2 nor NEON. Every tier runs the
-// same kernels; only Vec::kWidth and the lane operations differ.
+// same kernels; only Vec::kWidth and the lane operations differ. The
+// default -march=native build picks the widest tier the build host has.
 //
 // Determinism contract (DESIGN.md §4e): every Vec operation is
 // lane-independent except the Reduce* helpers, which combine lanes in a
-// fixed pairwise tree. Kernels built on Vec must handle ragged tails with
+// fixed order. Kernels built on Vec must handle ragged tails with
 // LoadPartial/StorePartial/MaskFirstN rather than scalar remainder loops —
 // ParallelFor chunk boundaries move with the thread count, and only
 // lane-independent tails keep results bit-identical across chunkings. On
-// the AVX2 tier the three helpers are single masked instructions
-// (maskload/maskstore with a lane mask from a static table, one blendv
-// for a pad or fill); masked lanes neither fault nor write. The other
-// tiers have no masked load and go through a padded stack copy. Either
-// way every lane holds the same bits. Which values the pad lanes hold
-// never matters: they are masked off by StorePartial/MaskFirstN, or chosen
-// as the reduction identity (0 for add with mul/fma, -inf for max).
+// the AVX-512 tier the three helpers are single mask-register instructions
+// (a masked load with the pad as its source, a masked store, a masked
+// blend); on the AVX2 tier they are maskload/maskstore with a lane mask
+// from a static table plus one blendv for a pad or fill. Masked lanes
+// neither fault nor write. The other tiers have no masked load and go
+// through a padded stack copy. Either way every lane holds the same bits.
+// Which values the pad lanes hold never matters: they are masked off by
+// StorePartial/MaskFirstN, or chosen as the reduction identity (0 for add
+// with mul/fma, -inf for max).
 //
 // Within one build configuration results are bit-identical across thread
 // counts, pool on/off and plan on/off. Across build configurations
@@ -38,6 +41,10 @@
 
 #if defined(STWA_NO_SIMD)
 // Forced scalar tier; no vector headers.
+#elif defined(__AVX512F__) && defined(__AVX512DQ__) && \
+    defined(__AVX512BW__) && defined(__AVX512VL__)
+#define STWA_SIMD_AVX512 1
+#include <immintrin.h>
 #elif defined(__AVX2__) && defined(__FMA__)
 #define STWA_SIMD_AVX2 1
 #include <immintrin.h>
@@ -52,7 +59,80 @@
 namespace stwa {
 namespace simd {
 
-#if defined(STWA_SIMD_AVX2)
+#if defined(STWA_SIMD_AVX512)
+
+// GCC 12's unmasked max/min/sqrt/roundscale/cvtps_epi32/slli intrinsics
+// pass an _mm512_undefined_* value through an all-ones mask, which
+// -Wmaybe-uninitialized reports (GCC PR 105593). Those operations use the
+// zero-masked form under kAll instead: the same instruction, no warning.
+struct Vec {
+  __m512 v;
+  static constexpr int64_t kWidth = 16;
+
+  static Vec Load(const float* p) { return {_mm512_loadu_ps(p)}; }
+  void Store(float* p) const { _mm512_storeu_ps(p, v); }
+  static Vec Broadcast(float x) { return {_mm512_set1_ps(x)}; }
+  static Vec Zero() { return {_mm512_setzero_ps()}; }
+
+  friend Vec operator+(Vec a, Vec b) { return {_mm512_add_ps(a.v, b.v)}; }
+  friend Vec operator-(Vec a, Vec b) { return {_mm512_sub_ps(a.v, b.v)}; }
+  friend Vec operator*(Vec a, Vec b) { return {_mm512_mul_ps(a.v, b.v)}; }
+  friend Vec operator/(Vec a, Vec b) { return {_mm512_div_ps(a.v, b.v)}; }
+
+  static Vec Min(Vec a, Vec b) {
+    return {_mm512_maskz_min_ps(kAll, a.v, b.v)};
+  }
+  static Vec Max(Vec a, Vec b) {
+    return {_mm512_maskz_max_ps(kAll, a.v, b.v)};
+  }
+  static Vec Fma(Vec a, Vec b, Vec c) {
+    return {_mm512_fmadd_ps(a.v, b.v, c.v)};
+  }
+  static Vec Sqrt(Vec a) { return {_mm512_maskz_sqrt_ps(kAll, a.v)}; }
+  static Vec Abs(Vec a) {
+    return {_mm512_andnot_ps(_mm512_set1_ps(-0.0f), a.v)};
+  }
+  static Vec CopySign(Vec mag, Vec sgn) {
+    const __m512 sign = _mm512_set1_ps(-0.0f);
+    return {_mm512_or_ps(_mm512_andnot_ps(sign, mag.v),
+                         _mm512_and_ps(sign, sgn.v))};
+  }
+  // Compares yield a mask register; Vec masks are all-ones / all-zeros
+  // lanes as on the other tiers, and Select reads each lane's sign bit
+  // (as blendv does).
+  static Vec CmpGt(Vec a, Vec b) {
+    return FromMask(_mm512_cmp_ps_mask(a.v, b.v, _CMP_GT_OQ));
+  }
+  static Vec CmpLe(Vec a, Vec b) {
+    return FromMask(_mm512_cmp_ps_mask(a.v, b.v, _CMP_LE_OQ));
+  }
+  static Vec Select(Vec mask, Vec a, Vec b) {
+    return {_mm512_mask_blend_ps(
+        _mm512_movepi32_mask(_mm512_castps_si512(mask.v)), b.v, a.v)};
+  }
+  static Vec RoundNearest(Vec a) {
+    return {_mm512_maskz_roundscale_ps(
+        kAll, a.v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC)};
+  }
+  static Vec Pow2(Vec n) {
+    const __m512i ni = _mm512_maskz_cvtps_epi32(kAll, n.v);
+    const __m512i e = _mm512_maskz_slli_epi32(
+        kAll, _mm512_add_epi32(ni, _mm512_set1_epi32(127)), 23);
+    return {_mm512_castsi512_ps(e)};
+  }
+
+ private:
+  static constexpr __mmask16 kAll = 0xFFFF;
+
+  static Vec FromMask(__mmask16 m) {
+    return {_mm512_castsi512_ps(_mm512_movm_epi32(m))};
+  }
+};
+
+inline const char* IsaName() { return "avx512"; }
+constexpr bool kHasFma = true;
+
+#elif defined(STWA_SIMD_AVX2)
 
 struct Vec {
   __m256 v;
@@ -287,7 +367,29 @@ inline const char* IsaName() { return "scalar"; }
 // `fill`, to mask ragged-tail pad lanes out of a reduction whose identity
 // is `fill`. Pads and fills keep their exact bits (-0.0f, -inf, NaN).
 
-#if defined(STWA_SIMD_AVX2)
+#if defined(STWA_SIMD_AVX512)
+
+namespace internal {
+// Mask register selecting the first n lanes (n <= 16).
+inline __mmask16 TailMask(int64_t n) {
+  return static_cast<__mmask16>((1u << n) - 1u);
+}
+}  // namespace internal
+
+inline Vec LoadPartial(const float* p, int64_t n, float pad = 0.0f) {
+  return {_mm512_mask_loadu_ps(_mm512_set1_ps(pad), internal::TailMask(n), p)};
+}
+
+inline void StorePartial(Vec v, float* p, int64_t n) {
+  _mm512_mask_storeu_ps(p, internal::TailMask(n), v.v);
+}
+
+inline Vec MaskFirstN(Vec v, int64_t n, float fill = 0.0f) {
+  return {_mm512_mask_blend_ps(internal::TailMask(n), _mm512_set1_ps(fill),
+                               v.v)};
+}
+
+#elif defined(STWA_SIMD_AVX2)
 
 namespace internal {
 // Eight all-ones lanes then eight zero lanes (one cache line): the 8 ints
@@ -342,24 +444,40 @@ inline Vec MaskFirstN(Vec v, int64_t n, float fill = 0.0f) {
 
 #endif
 
-/// Sum of all lanes in a fixed pairwise tree: width 8 combines as
-/// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)); width 4 as (l0+l1)+(l2+l3).
-/// The order never depends on runtime state, so reductions built on it
-/// are deterministic at any thread count.
+/// Sum of all lanes in a fixed tree whose order never depends on runtime
+/// state, so reductions built on it are deterministic at any thread count.
+/// Width 16 halves in registers, 16 -> 8 -> 4 -> 2 -> 1 lanes, adding lane
+/// i + w/2 into lane i at each step; width 8 combines as
+/// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) (two hadds, then the 128-bit
+/// halves); width 4 as (l0+l1)+(l2+l3).
 inline float ReduceAdd(Vec v) {
+#if defined(STWA_SIMD_AVX512)
+  // extractf32x8(v, 0) in place of castps512_ps256, whose GCC 12 form
+  // warns like the intrinsics named at Vec; it compiles to no instruction.
+  const __m256 s8 = _mm256_add_ps(_mm512_extractf32x8_ps(v.v, 0),
+                                  _mm512_extractf32x8_ps(v.v, 1));
+  const __m128 s4 = _mm_add_ps(_mm256_castps256_ps128(s8),
+                               _mm256_extractf128_ps(s8, 1));
+  const __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
+  return _mm_cvtss_f32(_mm_add_ss(s2, _mm_movehdup_ps(s2)));
+#elif defined(STWA_SIMD_AVX2)
+  const __m256 h = _mm256_hadd_ps(v.v, v.v);  // l0+l1, l2+l3 per half
+  const __m256 q = _mm256_hadd_ps(h, h);
+  return _mm_cvtss_f32(
+      _mm_add_ss(_mm256_castps256_ps128(q), _mm256_extractf128_ps(q, 1)));
+#else
   alignas(64) float t[Vec::kWidth];
   v.Store(t);
-  if constexpr (Vec::kWidth == 8) {
-    return ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]));
-  } else if constexpr (Vec::kWidth == 4) {
+  if constexpr (Vec::kWidth == 4) {
     return (t[0] + t[1]) + (t[2] + t[3]);
   } else {
     return t[0];
   }
+#endif
 }
 
-/// Max over all lanes (same fixed tree; max is exact so the order only
-/// matters for NaN propagation).
+/// Max over all lanes, folded left to right: m = m > l ? m : l. Max is
+/// exact, so the order only matters for NaN lanes and +0/-0 ties.
 inline float ReduceMax(Vec v) {
   alignas(64) float t[Vec::kWidth];
   v.Store(t);

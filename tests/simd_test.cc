@@ -13,6 +13,8 @@
 //     accumulators and ReduceAdd tree;
 //   * batched MatMul vs the rank-2 entry point (row kernel vs packed
 //     kernel must agree bitwise);
+//   * ReduceAdd / ReduceMax bitwise against mirrors of their lane order,
+//     and IsaName() against Vec::kWidth;
 //   * vectorized transcendentals (Exp/Tanh/Sigmoid) against libm under
 //     tolerance, with exactness pinned at x = 0;
 //   * elementwise / softmax / reduction kernels against scalar references;
@@ -22,6 +24,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -191,7 +194,15 @@ Tensor RefMatMulNT(const Tensor& a, const Tensor& b, int64_t m, int64_t n,
 // The accumulators are summed lane-wise as (a0 + a1) + (a2 + a3) and the
 // lanes reduced in ReduceAdd's fixed tree.
 float ReduceAddRef(const float* t) {
-  if constexpr (kW == 8) {
+  if constexpr (kW == 16) {
+    // Halving tree: lane l + w is added into lane l for w = 8, 4, 2, 1.
+    float h[16];
+    std::copy(t, t + 16, h);
+    for (int64_t w = 8; w >= 1; w /= 2) {
+      for (int64_t l = 0; l < w; ++l) h[l] = h[l] + h[l + w];
+    }
+    return h[0];
+  } else if constexpr (kW == 8) {
     return ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]));
   } else if constexpr (kW == 4) {
     return (t[0] + t[1]) + (t[2] + t[3]);
@@ -304,9 +315,11 @@ TEST(SimdGemmTest, TransposedVariantsMatchReferenceOverGrid) {
 TEST(SimdGemmTest, BatchedMatMulBitMatchesRank2Kernel) {
   // The batched driver dispatches per-row GemmRows* kernels while the
   // rank-2 entry point may take the packed kernel; both must produce the
-  // same bits (identical per-element accumulation chains). The last rows
-  // are the serving shapes: the 12-wide forecast head and the window
-  // attention products over windows of 3 and 2.
+  // same bits (identical per-element accumulation chains). Rows 4-8 are
+  // the serving shapes: the 12-wide forecast head and the window attention
+  // products over windows of 3 and 2. n = 32 and n = 48 take the row
+  // kernels' 2-vector block on the 16-lane tier (48 then one more vector),
+  // and 16x32x32 is the model's batched [..,32]·[..,32,32] product.
   //
   // Batched NT, with a batched or a shared rank-2 B, stays on the lane
   // kernel even where rank-2 NT takes the packed path (64^3), so its
@@ -319,7 +332,8 @@ TEST(SimdGemmTest, BatchedMatMulBitMatchesRank2Kernel) {
   };
   for (auto [m, k, n] : std::vector<std::array<int64_t, 3>>{
            {5, 7, 3}, {64, 64, 64}, {65, 33, 17}, {64, 256, 12},
-           {1, 8, 3}, {1, 8, 2}, {1, 3, 8}, {1, 2, 8}}) {
+           {1, 8, 3}, {1, 8, 2}, {1, 3, 8}, {1, 2, 8}, {16, 32, 32},
+           {7, 9, 48}}) {
     Tensor a = Tensor::Randn({2, m, k}, rng);
     Tensor b = Tensor::Randn({2, k, n}, rng);
     Tensor bt = Tensor::Randn({2, n, k}, rng);
@@ -355,6 +369,55 @@ TEST(SimdGemmTest, BatchedMatMulBitMatchesRank2Kernel) {
           << "TN shared B " << where;
     }
   }
+}
+
+// Mirrors ReduceMax's left-to-right fold.
+float ReduceMaxRef(const float* t) {
+  float m = t[0];
+  for (int64_t l = 1; l < kW; ++l) m = m > t[l] ? m : t[l];
+  return m;
+}
+
+TEST(SimdReduceTest, ReductionsBitMatchTheirMirrors) {
+  // Lanes drawn from +-1e8, +-1 and +-0.75: 1 is below half an ulp of
+  // 1e8, so a small lane survives only where the tree adds it to another
+  // small lane or after two big lanes cancel, and different trees give
+  // different sums. -0, +0 and -inf exercise the max fold's ties.
+  const std::array<float, 9> pool = {
+      1e8f, -1e8f, 1.0f, -1.0f, 0.75f, -0.75f, 0.0f, -0.0f,
+      -std::numeric_limits<float>::infinity()};
+  Rng rng(108);
+  int orders_differ = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::array<float, kW> t;
+    for (int64_t l = 0; l < kW; ++l) {
+      t[l] = pool[rng.NextU64() % (pool.size() - 1)];  // finite for the sum
+    }
+    const simd::Vec v = simd::Vec::Load(t.data());
+    const float sum = simd::ReduceAdd(v);
+    EXPECT_TRUE(SameBits(sum, ReduceAddRef(t.data()))) << "trial " << trial;
+    float serial = 0.0f;
+    for (float x : t) serial += x;
+    orders_differ += !SameBits(sum, serial);
+    for (int64_t l = 0; l < kW; ++l) t[l] = pool[rng.NextU64() % pool.size()];
+    EXPECT_TRUE(SameBits(simd::ReduceMax(simd::Vec::Load(t.data())),
+                         ReduceMaxRef(t.data())))
+        << "trial " << trial;
+  }
+  // The inputs tell trees apart (a 1- or 2-lane tree has only one order).
+  if (kW >= 4) {
+    EXPECT_GT(orders_differ, 0);
+  }
+}
+
+TEST(SimdReduceTest, IsaNameMatchesVectorWidth) {
+  const std::string isa = simd::IsaName();
+  const int64_t want = isa == "avx512"                  ? 16
+                       : isa == "avx2-fma"              ? 8
+                       : isa == "sse2" || isa == "neon" ? 4
+                       : isa == "scalar"                ? 1
+                                                        : -1;
+  EXPECT_EQ(kW, want) << "simd=" << isa;
 }
 
 TEST(SimdVecMathTest, TranscendentalsTrackLibm) {
